@@ -46,9 +46,10 @@ scene = fold([ScalarGrid3(targets[i], 1.0) for i in order], layout)
 db = build(enc, [scene], layout, scene_tags=["toy"])
 print(f"database entries: {len(db)}")
 
-# The vantage-point index returns exactly what the brute-force oracle does.
+# The GEMM screen plus exact re-rank returns exactly what the brute-force
+# oracle does, ties included.
 q = enc.encode_inputs(inputs[3:4])[0]
-print("index == oracle:", knn(db, q, 4) == knn_bruteforce(db, q, 4))
+print("knn == oracle:", knn(db, q, 4) == knn_bruteforce(db, q, 4))
 
 # Rank-1 assembly rebuilds the scene from retrieved chunks alone.
 coarse = ScalarGrid3(scene.values.reshape(16, 2, 16, 2, 16, 2).min(axis=(1, 3, 5)),

@@ -1,17 +1,19 @@
 """Chunk database: embedded target chunks, exact k-NN retrieval, assembly of
 rank-r approximate reconstructions, and test-time extension.
 
-The accelerated index is an exact vantage-point tree: both it and the
-brute-force scanner compute squared l2 distances with the same float64
-kernel over the same stored rows, so results match the oracle bitwise,
-including the (distance, id) tie rule.
+k-NN is an exact brute-force search in two passes. A float64 GEMM screen
+scores every query against every entry as |e|^2 - 2 q.e + |q|^2 and keeps
+the entries that a stated rounding-error bound cannot rule out of the top k.
+The survivors are re-ranked with the same float64 kernel and (distance, id)
+tie rule as the brute-force oracle, so results match it bitwise.
 """
 
 from __future__ import annotations
 
-import heapq
-import struct
+import itertools
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -20,86 +22,16 @@ from .grids import ChunkLayout, ScalarGrid3, fold, occupancy_fraction
 from .metrics import OCCUPANCY_TDF_THRESHOLD
 
 DB_MAGIC = b"RFDB"
+DB_HEADER = np.dtype([("chunk_dim", "<u4"), ("embed_dim", "<u4"), ("count", "<u8")])
 EMPTY_CHUNK_TAG = "canonical-empty"
+# the screen's distance block is at most this many bytes, whatever the batch
+SCREEN_BLOCK_BYTES = 4 << 20
 
 
 def _sqdist(embeddings: np.ndarray, rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
     """Shared distance kernel: float64 squared l2 of selected rows to q."""
     diff = embeddings[rows].astype(np.float64) - q64
     return np.einsum("ij,ij->i", diff, diff)
-
-
-class _VPNode:
-    __slots__ = ("vantage", "children", "rows")
-
-    def __init__(self, vantage=None, children=None, rows=None):
-        self.vantage = vantage      # row index, or None for a leaf
-        self.children = children    # [(dmin, dmax, node), ...] by distance band
-        self.rows = rows            # leaf bucket row indices
-
-
-class VPIndex:
-    """Exact vantage-point tree over unit-norm embeddings."""
-
-    def __init__(self, embeddings: np.ndarray, ids: np.ndarray, leaf_size: int = 16):
-        self.embeddings = embeddings
-        self.ids = ids
-        self.leaf_size = leaf_size
-        rows = np.arange(len(embeddings), dtype=np.int64)
-        self.root = self._build(rows) if len(rows) else None
-
-    def _build(self, rows: np.ndarray) -> _VPNode:
-        if len(rows) <= self.leaf_size:
-            return _VPNode(rows=rows)
-        vantage = rows[0]
-        rest = rows[1:]
-        d = np.sqrt(_sqdist(self.embeddings, rest,
-                            self.embeddings[vantage].astype(np.float64)))
-        mu = np.median(d)
-        inner = rest[d <= mu]
-        outer = rest[d > mu]
-        if len(inner) == 0 or len(outer) == 0:
-            return _VPNode(rows=rows)
-        children = []
-        for sub, dist in ((inner, d[d <= mu]), (outer, d[d > mu])):
-            children.append((float(dist.min()), float(dist.max()), self._build(sub)))
-        return _VPNode(vantage=vantage, children=children)
-
-    def query(self, q: np.ndarray, k: int) -> list[tuple[int, float]]:
-        if self.root is None or k < 1:
-            return []
-        q64 = np.asarray(q, dtype=np.float64).reshape(-1)
-        heap: list[tuple[float, int, int]] = []  # (-dist, -id, row), worst on top
-
-        def consider(rows):
-            d = _sqdist(self.embeddings, rows, q64)
-            for dist, row in zip(d, rows):
-                ident = int(self.ids[row])
-                if len(heap) < k:
-                    heapq.heappush(heap, (-dist, -ident, row))
-                elif (dist, ident) < (-heap[0][0], -heap[0][1]):
-                    heapq.heapreplace(heap, (-dist, -ident, row))
-
-        def visit(node):
-            if node.vantage is None:
-                consider(node.rows)
-                return
-            consider(np.array([node.vantage], dtype=np.int64))
-            dv = float(np.sqrt(_sqdist(self.embeddings, np.array([node.vantage]), q64)[0]))
-            ordered = sorted(node.children,
-                             key=lambda ch: max(0.0, dv - ch[1], ch[0] - dv))
-            for dmin, dmax, child in ordered:
-                lb = max(0.0, dv - dmax, dmin - dv)
-                if len(heap) == k:
-                    worst = -heap[0][0]
-                    # tiny relative slack so float rounding never prunes a tie
-                    if lb * lb * (1.0 - 1e-9) > worst:
-                        continue
-                visit(child)
-
-        visit(self.root)
-        out = sorted(((-nd, -ni) for nd, ni, _ in heap))
-        return [(ident, dist) for dist, ident in out]
 
 
 @dataclass
@@ -119,7 +51,8 @@ class ChunkDatabase:
     embeddings: np.ndarray | None = None
     chunks: np.ndarray | None = None
     version: int = 0
-    _index: VPIndex | None = field(default=None, repr=False)
+    # float64 embeddings and their squared norms for the k-NN screen
+    _screen: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.embeddings is None:
@@ -141,10 +74,12 @@ class ChunkDatabase:
         self.tags.extend(tags)
         self.embeddings = np.concatenate([self.embeddings, embeddings])
         self.chunks = np.concatenate([self.chunks, chunks])
-        self._index = None
+        self._screen = None
 
     def build_index(self):
-        self._index = VPIndex(self.embeddings, self.ids)
+        """Precompute what the k-NN screen reads; k-NN calls this when needed."""
+        e64 = self.embeddings.astype(np.float64)
+        self._screen = (e64, np.einsum("ij,ij->i", e64, e64))
 
     def chunk_grid(self, row: int, voxel_size: float = 1.0, origin=(0, 0, 0)) -> ScalarGrid3:
         c = self.chunk_dim
@@ -167,16 +102,44 @@ def knn_bruteforce(db: ChunkDatabase, query: np.ndarray, k: int) -> list[tuple[i
     return [(int(db.ids[r]), float(d[r])) for r in order]
 
 
-def knn(db: ChunkDatabase, query: np.ndarray, k: int,
-        use_index: bool = True) -> list[tuple[int, float]]:
-    """k nearest database entries by squared l2 embedding distance."""
-    if k > len(db):
-        raise ValueError(f"k={k} exceeds database size {len(db)}")
-    if not use_index:
-        return knn_bruteforce(db, query, k)
-    if db._index is None:
+def _knn_rows(db: ChunkDatabase, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k-NN of every query row: (m, k) database rows and float64
+    squared distances, equal to knn_bruteforce per query, ties included."""
+    if not 1 <= k <= len(db):
+        raise ValueError(f"k={k} must be in [1, database size {len(db)}]")
+    q64 = np.asarray(queries, dtype=np.float64)
+    if q64.ndim != 2 or q64.shape[1] != db.embed_dim:
+        raise ValueError(f"queries of shape {q64.shape} are not (m, {db.embed_dim})")
+    if not np.isfinite(q64).all():
+        raise ValueError("query embedding is not finite")
+    if db._screen is None:
         db.build_index()
-    return db._index.query(query, k)
+    e64, e_sq = db._screen
+    q_sq = np.einsum("ij,ij->i", q64, q64)
+    # Each of the screen and _sqdist is off from the exact squared distance by
+    # at most ~(dim + 2) unit roundoffs of (|e| + |q|)^2, in any summation
+    # order, so they differ by less than slack (eps is two unit roundoffs).
+    # Every true top-k entry then screens below kth + 2 * slack.
+    reach = (np.sqrt(e_sq.max()) + np.sqrt(q_sq)) ** 2
+    slack = (db.embed_dim + 4) * np.finfo(np.float64).eps * reach
+    rows = np.empty((len(q64), k), dtype=np.int64)
+    dists = np.empty((len(q64), k), dtype=np.float64)
+    block = max(1, SCREEN_BLOCK_BYTES // (8 * len(db)))
+    for lo in range(0, len(q64), block):
+        screen = e_sq - 2.0 * (q64[lo:lo + block] @ e64.T) + q_sq[lo:lo + block, None]
+        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        for i, cut in enumerate(kth + 2.0 * slack[lo:lo + block], start=lo):
+            cand = np.flatnonzero(screen[i - lo] <= cut)
+            d = _sqdist(db.embeddings, cand, q64[i])
+            order = np.lexsort((db.ids[cand], d))[:k]
+            rows[i], dists[i] = cand[order], d[order]
+    return rows, dists
+
+
+def knn(db: ChunkDatabase, query: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """k nearest database entries by squared l2 embedding distance."""
+    rows, dists = _knn_rows(db, np.reshape(query, (1, -1)), k)
+    return [(int(db.ids[r]), float(d)) for r, d in zip(rows[0], dists[0])]
 
 
 def select_training_pairs(input_chunks: np.ndarray, target_chunks: np.ndarray,
@@ -255,11 +218,7 @@ def assemble_approximations(db: ChunkDatabase, encoders: ChunkEncoderPair,
         raise ValueError(f"input window side {in_dim} not divisible into {n} chunks")
     in_layout = ChunkLayout(scene_dim=in_dim, chunk_dim=in_dim // n, patch_dim=1)
     in_chunks = np.stack([ch.ravel() for ch in unfold_values(input_window.values, in_layout)])
-    embeds = encoders.encode_inputs(in_chunks)
-    neighbor_rows = np.empty((len(in_chunks), k), dtype=np.int64)
-    for slot, e in enumerate(embeds):
-        hits = knn(db, e, k)
-        neighbor_rows[slot] = [db.row_of_id(ident) for ident, _ in hits]
+    neighbor_rows, _ = _knn_rows(db, encoders.encode_inputs(in_chunks), k)
 
     target_vs = input_window.voxel_size * in_dim / layout.scene_dim
     out = []
@@ -285,7 +244,6 @@ def extend(db: ChunkDatabase, new_chunks: np.ndarray, encoders: ChunkEncoderPair
     if len(new_chunks):
         db.add_entries(new_chunks, encoders.encode_targets(new_chunks),
                        [tag] * len(new_chunks))
-        db.build_index()
     db.version += 1
     return db
 
@@ -294,36 +252,72 @@ def extend(db: ChunkDatabase, new_chunks: np.ndarray, encoders: ChunkEncoderPair
 # RFDB serialization
 # ---------------------------------------------------------------------------
 
+def _record_dtype(tag_len: int, embed_dim: int, chunk_dim: int) -> np.dtype:
+    """One packed RFDB entry record: id, tag length, tag, embedding, chunk."""
+    return np.dtype({"names": ["id", "tag_len", "tag", "embedding", "chunk"],
+                     "formats": ["<u8", "<u2", ("u1", (tag_len,)), ("<f4", (embed_dim,)),
+                                 ("<f4", (chunk_dim ** 3,))],
+                     "offsets": [0, 8, 10, 10 + tag_len, 10 + tag_len + 4 * embed_dim],
+                     "itemsize": 10 + tag_len + 4 * (embed_dim + chunk_dim ** 3)})
+
+
 def save_db(path, db: ChunkDatabase) -> None:
-    with open(path, "wb") as f:
-        f.write(DB_MAGIC)
-        f.write(struct.pack("<IIQ", db.chunk_dim, db.embed_dim, len(db)))
-        for row in range(len(db)):
-            f.write(struct.pack("<Q", int(db.ids[row])))
-            tag = db.tags[row].encode("utf-8")
-            f.write(struct.pack("<H", len(tag)))
-            f.write(tag)
-            f.write(np.ascontiguousarray(db.embeddings[row], dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(db.chunks[row], dtype="<f4").tobytes())
+    """Write db as RFDB; a reader of path sees the old file or the new one."""
+    path = Path(path)
+    tags = [t.encode("utf-8") for t in db.tags]
+    if any(len(t) > 0xFFFF for t in tags):
+        raise ValueError(f"{path}: a tag is longer than 65535 bytes")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(DB_MAGIC + np.array((db.chunk_dim, db.embed_dim, len(db)), DB_HEADER).tobytes())
+            lo = 0
+            # one packed record array per run of entries with equal tag lengths
+            for tag_len, run in itertools.groupby(tags, len):
+                run = list(run)
+                hi = lo + len(run)
+                rec = np.empty(len(run), _record_dtype(tag_len, db.embed_dim, db.chunk_dim))
+                rec["id"], rec["tag_len"] = db.ids[lo:hi], tag_len
+                rec["tag"] = np.frombuffer(b"".join(run), np.uint8).reshape(len(run), tag_len)
+                rec["embedding"], rec["chunk"] = db.embeddings[lo:hi], db.chunks[lo:hi]
+                f.write(rec.tobytes())
+                lo = hi
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_db(path) -> ChunkDatabase:
-    with open(path, "rb") as f:
-        if f.read(4) != DB_MAGIC:
-            raise ValueError(f"{path}: not an RFDB file")
-        chunk_dim, embed_dim, count = struct.unpack("<IIQ", f.read(16))
-        ids, tags, embeds, chunks = [], [], [], []
-        for _ in range(count):
-            (ident,) = struct.unpack("<Q", f.read(8))
-            (tlen,) = struct.unpack("<H", f.read(2))
-            tags.append(f.read(tlen).decode("utf-8"))
-            ids.append(ident)
-            embeds.append(np.frombuffer(f.read(4 * embed_dim), dtype="<f4"))
-            chunks.append(np.frombuffer(f.read(4 * chunk_dim ** 3), dtype="<f4"))
+    """Read an RFDB file; a short, overlong or foreign file raises ValueError."""
+    data = Path(path).read_bytes()
+    if data[:4] != DB_MAGIC:
+        raise ValueError(f"{path}: not an RFDB file")
+    off = 4 + DB_HEADER.itemsize
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated RFDB header")
+    chunk_dim, embed_dim, count = (int(v) for v in np.frombuffer(data, DB_HEADER, 1, 4)[0])
+    runs, done = [], 0
+    while done < count:
+        # map every whole record that fits at this entry's tag length, keep the run
+        dtype = _record_dtype(int.from_bytes(data[off + 8:off + 10], "little"),
+                              embed_dim, chunk_dim)
+        fit = min(count - done, (len(data) - off) // dtype.itemsize)
+        if fit == 0:
+            raise ValueError(f"{path}: truncated after {done} of {count} entries")
+        rec = np.frombuffer(data, dtype, fit, off)
+        changed = np.flatnonzero(rec["tag_len"] != rec["tag_len"][0])
+        runs.append(rec[:changed[0]] if len(changed) else rec)
+        done += len(runs[-1])
+        off += len(runs[-1]) * dtype.itemsize
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
     db = ChunkDatabase(chunk_dim=chunk_dim, embed_dim=embed_dim)
     if count:
-        db.ids = np.asarray(ids, dtype=np.uint64)
-        db.tags = tags
-        db.embeddings = np.vstack(embeds).astype(np.float32)
-        db.chunks = np.vstack(chunks).astype(np.float32)
+        db.ids = np.concatenate([r["id"] for r in runs], dtype=np.uint64)
+        db.tags = [t.tobytes().decode("utf-8") for r in runs for t in r["tag"]]
+        db.embeddings = np.concatenate([r["embedding"] for r in runs], dtype=np.float32)
+        db.chunks = np.concatenate([r["chunk"] for r in runs], dtype=np.float32)
     return db

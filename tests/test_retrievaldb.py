@@ -66,6 +66,55 @@ class TestKnn:
         assert [h[0] for h in hits] == [5, 20]
         assert hits[0][1] == hits[1][1] == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_batch_rows_equal_bruteforce_large_norms_and_ties(self, scale):
+        # far queries make the screen's cancellation error larger than the
+        # gaps between distances: a slack that did not grow with the norms
+        # would drop true neighbours
+        rng = np.random.default_rng(8)
+        n, dim = 300, 16
+        emb = (rng.normal(size=(n, dim)) * scale).astype(np.float32)
+        emb[250:] = emb[:50]                         # exact duplicates -> ties
+        db = R.ChunkDatabase(chunk_dim=2, embed_dim=dim)
+        db.add_entries(np.zeros((n, 8), np.float32), emb, ["t"] * n)
+        queries = np.concatenate([db.embeddings[rng.integers(0, n, size=20)],
+                                  rng.normal(size=(20, dim)) * scale,
+                                  rng.normal(size=(20, dim)) * scale * 1e15])
+        rows, dists = R._knn_rows(db, queries, 9)
+        assert rows.shape == dists.shape == (60, 9)
+        for q, r, d in zip(queries, rows, dists):
+            want = R.knn_bruteforce(db, q, 9)
+            assert [int(i) for i in db.ids[r]] == [i for i, _ in want]
+            assert d.tolist() == [x for _, x in want]
+
+    def test_knn_after_extend_without_build_index(self):
+        rng = np.random.default_rng(9)
+        pair = E.ChunkEncoderPair.create(2, 4, HP, seed=0)
+        db = R.ChunkDatabase(chunk_dim=4, embed_dim=pair.embed_dim)
+        chunks = rng.random((100, 64)).astype(np.float32)
+        db.add_entries(chunks, pair.encode_targets(chunks), ["t"] * 100)
+        db.build_index()
+        R.extend(db, rng.random((30, 64)).astype(np.float32) * 0.1, pair)
+        assert len(db) == 130
+        for q in (db.embeddings[120], db.embeddings[3], -db.embeddings[0]):
+            assert R.knn(db, q, 6) == R.knn_bruteforce(db, q, 6)
+
+    def test_non_finite_query_and_bad_k_raise(self):
+        rng = np.random.default_rng(10)
+        db = random_db(rng, n=30)
+        q = db.embeddings[0].copy()
+        q[4] = np.nan
+        with pytest.raises(ValueError):
+            R.knn(db, q, 3)
+        with pytest.raises(ValueError):
+            R._knn_rows(db, np.stack([db.embeddings[1], q]), 3)
+        with pytest.raises(ValueError):
+            R.knn(db, np.full(16, np.inf, np.float32), 3)
+        with pytest.raises(ValueError):
+            R.knn(db, db.embeddings[0], 0)
+        with pytest.raises(ValueError):
+            R.knn(db, np.zeros(32, np.float32), 3)
+
 
 class TestBuildAndAssemble:
     def trained_setup(self):
@@ -104,6 +153,32 @@ class TestBuildAndAssemble:
         p2 = tmp_path / "again.rfdb"
         R.save_db(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_or_overlong_db_file_raises(self, tmp_path):
+        rng = np.random.default_rng(6)
+        db = random_db(rng, n=12, dim=8, chunk_dim=2)
+        db.tags[5] = "a-longer-tag"
+        path = tmp_path / "db.rfdb"
+        R.save_db(path, db)
+        data = path.read_bytes()
+        for bad in (data[:10], data[:-1], data[:len(data) // 2], data + b"\0"):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="db.rfdb"):
+                R.load_db(path)
+
+    def test_failed_save_leaves_earlier_file(self, tmp_path):
+        rng = np.random.default_rng(7)
+        db = random_db(rng, n=20, dim=8, chunk_dim=2)
+        path = tmp_path / "db.rfdb"
+        R.save_db(path, db)
+        before = path.read_bytes()
+        # the second tag run fails to pack after the first run was written
+        db.tags = ["a"] * 10 + ["bb"] * 10
+        db.chunks = db.chunks[:15]
+        with pytest.raises(ValueError):
+            R.save_db(path, db)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["db.rfdb"]
 
     def test_rank1_assembly_reproduces_toy_scene(self):
         rng = np.random.default_rng(0)
@@ -149,6 +224,30 @@ class TestBuildAndAssemble:
         got = R.assemble_approximations(db2, pair, input_window, MINI, k=2)
         for g, r in zip(got, ref):
             np.testing.assert_array_equal(g.scene.values, r.scene.values)
+
+    def test_assembly_equals_per_slot_bruteforce(self):
+        pair, x, y = self.trained_setup()
+        rng = np.random.default_rng(11)
+        scene = self.scene_from_protos(y, rng.integers(0, 8, size=64))
+        db = R.build(pair, [scene], MINI, min_occupancy=0.0)
+        v = scene.values.reshape(16, 2, 16, 2, 16, 2).min(axis=(1, 3, 5)) + 0.01
+        input_window = ScalarGrid3(v, 2.0, scene.origin)
+        got = R.assemble_approximations(db, pair, input_window, MINI, k=3)
+        in_layout = ChunkLayout(scene_dim=16, chunk_dim=4, patch_dim=1)
+        in_chunks = np.stack([c.ravel() for c in R.unfold_values(v, in_layout)])
+        hits = [R.knn_bruteforce(db, e, 3) for e in pair.encode_inputs(in_chunks)]
+        for r, approx in enumerate(got):
+            want = fold([db.chunk_grid(db.row_of_id(h[r][0]), 1.0) for h in hits], MINI)
+            np.testing.assert_array_equal(approx.scene.values, want.values)
+
+    def test_non_finite_window_raises(self):
+        pair, x, y = self.trained_setup()
+        scene = self.scene_from_protos(y, np.arange(64) % 8)
+        db = R.build(pair, [scene], MINI)
+        v = scene.values.reshape(16, 2, 16, 2, 16, 2).min(axis=(1, 3, 5))
+        v[3, 4, 5] = np.nan
+        with pytest.raises(ValueError):
+            R.assemble_approximations(db, pair, ScalarGrid3(v, 2.0, scene.origin), MINI, k=1)
 
 
 class TestExtend:
