@@ -6,7 +6,19 @@ Feature geometry: a window of side S with patch side p yields a cell grid of
 side M = S/p, one feature vector per patch.  The input trunk is a small
 encoder-decoder with a skip connection; each retrieved window is processed
 chunk-by-chunk by a lighter extractor, and the per-chunk cells are folded
-back into a full cell grid aligned with the input's.
+back into a full cell grid aligned with the input's.  Window <-> chunk
+blocking goes through grids.to_blocks / grids.from_blocks.
+
+Retrieved chunks repeat heavily (every window draws its k candidates from the
+same database), so the chunk batch of all k ranks of a batch is reduced to
+its distinct payloads, f_retr runs once per distinct chunk, and the features
+are gathered back to every slot.  A sample's convolution features do not
+depend on its batch, so this changes no forward value; under grad the
+gradients of duplicates are summed before the weight update.
+
+Serving: reconstruct_scene stacks every window of a scene, retrieves for all
+their chunk slots with one encoder pass and one k-NN search, and refines all
+windows in one no-grad forward pass.
 
 Modes: "attention" blends input and retrieval patches through scored softmax
 selection and a learned input/retrieval tradeoff; "naive" concatenates
@@ -25,7 +37,8 @@ from . import tensor as T
 from .embed import ntxent_loss
 from .geometry import TriMesh, marching_cubes
 from .grids import (OCCUPANCY_TDF_THRESHOLD, ChunkLayout, HyperParams,
-                    ScalarGrid3, reassemble_windows, windows)
+                    ScalarGrid3, from_blocks, reassemble_windows, to_blocks,
+                    windows)
 from .metrics import pairwise_occupancy_iou
 from .nn import Conv3, Dense, TConv3
 
@@ -206,24 +219,17 @@ class FusionModel:
     # -- shape plumbing ------------------------------------------------------
 
     def window_chunks(self, scenes: np.ndarray) -> np.ndarray:
-        """(N, S, S, S) windows -> (N * n^3, 1, C, C, C) chunk batch, chunk
-        order matching grids.unfold."""
-        lay = self.config.layout
-        n, cdim = lay.n, lay.chunk_dim
-        nb = scenes.shape[0]
-        v = scenes.reshape(nb, n, cdim, n, cdim, n, cdim)
-        v = v.transpose(0, 1, 3, 5, 2, 4, 6)
-        return np.ascontiguousarray(v.reshape(nb * n ** 3, 1, cdim, cdim, cdim))
+        """(..., S, S, S) windows -> (B, 1, C, C, C) chunk batch, B the product
+        of the leading axes times n^3, chunks in grids.to_blocks order."""
+        c = self.config.layout.chunk_dim
+        return to_blocks(scenes, c).reshape(-1, 1, c, c, c)
 
     def fold_chunk_cells(self, cells: T.Tensor, n_windows: int) -> T.Tensor:
         """(N * n^3, F, m, m, m) per-chunk cells -> (N, F, M, M, M)."""
-        lay = self.config.layout
-        n = lay.n
-        m = lay.chunk_dim // lay.patch_dim
-        f = cells.shape[1]
-        h = T.reshape(cells, (n_windows, n, n, n, f, m, m, m))
-        h = T.transpose(h, (0, 4, 1, 5, 2, 6, 3, 7))
-        return T.reshape(h, (n_windows, f, n * m, n * m, n * m))
+        f, m = cells.shape[1], cells.shape[2]
+        h = T.reshape(cells, (n_windows, self.config.layout.n ** 3, f, m, m, m))
+        h = T.transpose(h, (0, 2, 1, 3, 4, 5))
+        return T.rearrange(h, from_blocks, lambda g: to_blocks(g, m))
 
     def cells_to_patches(self, cells: T.Tensor) -> T.Tensor:
         """(N, F, M, M, M) -> (N * M^3, F) patch-major feature rows."""
@@ -240,24 +246,27 @@ class FusionModel:
     def gt_patches(self, scenes: np.ndarray) -> np.ndarray:
         """Raw patch payloads (N * M^3, p^3) in the same order as
         cells_to_patches, for patch-level IoU."""
-        lay = self.config.layout
-        p, m = lay.patch_dim, lay.cells_per_side
-        nb = scenes.shape[0]
-        v = scenes.reshape(nb, m, p, m, p, m, p)
-        v = v.transpose(0, 1, 3, 5, 2, 4, 6)
-        return np.ascontiguousarray(v.reshape(nb * m ** 3, p ** 3))
+        p = self.config.layout.patch_dim
+        return to_blocks(scenes, p).reshape(-1, p ** 3)
 
     # -- refine --------------------------------------------------------------
 
-    def retrieval_cells(self, approx: np.ndarray) -> list[T.Tensor]:
-        """Per-rank cell grids from approximation windows (N, k, S, S, S)."""
+    def chunk_features(self, chunks: np.ndarray) -> T.Tensor:
+        """f_retr over a (B, 1, C, C, C) chunk batch, run once per distinct
+        chunk payload and gathered back to all B rows.  Features of a chunk
+        do not depend on its batch, so the values equal f_retr(chunks) exactly."""
+        flat = np.ascontiguousarray(chunks).reshape(len(chunks), -1)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        cells = self.f_retr(T.Tensor(chunks[first].astype(self.dtype)))
+        return T.gather_rows(cells, inverse)
+
+    def retrieval_cells(self, approx: np.ndarray) -> T.Tensor:
+        """Cell grids (k * N, F, M, M, M), rank-major, of approximation
+        windows (N, k, S, S, S)."""
         nb, k = approx.shape[0], approx.shape[1]
-        out = []
-        for r in range(k):
-            chunks = self.window_chunks(approx[:, r])
-            cells = self.f_retr(T.Tensor(chunks.astype(self.dtype)))
-            out.append(self.fold_chunk_cells(cells, nb))
-        return out
+        cells = self.chunk_features(self.window_chunks(approx.swapaxes(0, 1)))
+        return self.fold_chunk_cells(cells, k * nb)
 
     def refine_batch(self, inputs: np.ndarray, approx: np.ndarray | None
                      ) -> tuple[T.Tensor, PatchAttentionTrace | None, dict]:
@@ -282,11 +291,11 @@ class FusionModel:
                 raise ValueError(f"mode {cfg.mode!r} needs retrieval approximations")
             if approx.shape[1] != cfg.k:
                 raise ValueError(f"expected k={cfg.k} approximations, got {approx.shape[1]}")
-            rcells = self.retrieval_cells(approx)
-            r_p = [self.cells_to_patches(c) for c in rcells]
             p_count, f = x_p.shape
+            r_p = self.cells_to_patches(self.retrieval_cells(approx))
+            # (P, k, F): the k retrieval features of every patch
+            stack = T.transpose(T.reshape(r_p, (cfg.k, p_count, f)), (1, 0, 2))
             if cfg.mode == "attention":
-                stack = T.concat([T.reshape(rp, (p_count, 1, f)) for rp in r_p], axis=1)
                 hi = self.h_in(x_p)
                 hr = self.h_retr(T.reshape(stack, (p_count * cfg.k, f)))
                 hr = T.reshape(hr, (p_count, cfg.k, cfg.attn_dim))
@@ -308,7 +317,8 @@ class FusionModel:
                                             weights=weights.data.copy(),
                                             beta=beta.data.copy())
             else:  # naive
-                blended = self.naive_mix(T.concat([x_p] + r_p, axis=1))
+                blended = self.naive_mix(
+                    T.concat([x_p, T.reshape(stack, (p_count, cfg.k * f))], axis=1))
         out = self.f_dec(self.patches_to_cells(blended, nb))
         return out, trace, aux
 
@@ -365,8 +375,9 @@ def refinement_loss(model: FusionModel, pred: T.Tensor, gt: np.ndarray,
     loss = _mean_l1(pred, gt.reshape(pred.shape))
     comps["recon"] = loss.item()
 
-    if cfg.mode != "no_retrieval" and hp.lambda_retr > 0:
+    if cfg.mode != "no_retrieval":
         gt_chunks = model.window_chunks(gt.reshape(nb, s, s, s))
+    if cfg.mode != "no_retrieval" and hp.lambda_retr > 0:
         j = int(rng.integers(0, len(gt_chunks)))
         chunk = gt_chunks[j:j + 1]
         dec = model.f_dec(model.f_retr(T.Tensor(chunk.astype(model.dtype))))
@@ -375,9 +386,7 @@ def refinement_loss(model: FusionModel, pred: T.Tensor, gt: np.ndarray,
         loss = T.add(loss, T.mul(l_retr, hp.lambda_retr))
 
     if cfg.mode == "attention" and hp.lambda_attn > 0:
-        gt_chunks = model.window_chunks(gt.reshape(nb, s, s, s))
-        gt_cells = model.fold_chunk_cells(
-            model.f_retr(T.Tensor(gt_chunks.astype(model.dtype))), nb)
+        gt_cells = model.fold_chunk_cells(model.chunk_features(gt_chunks), nb)
         gt_p = model.cells_to_patches(gt_cells)
         raw = model.gt_patches(gt.reshape(nb, s, s, s))
         # contrast informative patches: all-empty or all-interior patches are
@@ -455,28 +464,32 @@ def reconstruct_scene(model: FusionModel, db: RDB.ChunkDatabase | None,
 
     The input scene is at target resolution divided by sr_factor (1 for
     occupancy input).  Windows are disjoint at stride = window size, so the
-    reassembly is exact at seams.
+    reassembly is exact at seams.  All windows are served as one batch: one
+    retrieval over every chunk slot of the scene, then one refine pass.
     """
+    if sr_factor < 1 or layout.chunk_dim % sr_factor:
+        raise ValueError(f"sr_factor {sr_factor} does not divide chunk_dim {layout.chunk_dim}")
+    if not np.isfinite(input_scene.values).all():
+        raise ValueError("input scene has non-finite values")
+    mode = model.config.mode
+    if mode != "no_retrieval" and (db is None or encoders is None):
+        raise ValueError("reconstruction in this mode needs db and encoders")
     in_win = layout.scene_dim // sr_factor
     in_layout = ChunkLayout(scene_dim=in_win, chunk_dim=in_win, patch_dim=1)
     pairs = windows(input_scene, in_layout, stride=in_win)
-    out_pairs = []
-    for off, win in pairs:
-        approx = None
-        if model.config.mode != "no_retrieval":
-            if db is None or encoders is None:
-                raise ValueError("reconstruction in this mode needs db and encoders")
-            approx = RDB.assemble_approximations(db, encoders, win, layout, model.config.k)
-        up = win.values
-        if sr_factor > 1:
-            up = up.repeat(sr_factor, 0).repeat(sr_factor, 1).repeat(sr_factor, 2)
-        target_vs = win.voxel_size / sr_factor
-        up_grid = ScalarGrid3(up, target_vs, win.origin)
-        refined, _ = model.refine(up_grid, approx)
-        out_pairs.append((tuple(o * sr_factor for o in off), refined))
+    wins = np.stack([win.values for _, win in pairs])
+    approx = None
+    if mode != "no_retrieval":
+        approx = RDB.retrieve_windows(db, encoders, wins, layout, model.config.k)
+    up = wins.repeat(sr_factor, 1).repeat(sr_factor, 2).repeat(sr_factor, 3)
+    with T.no_grad():
+        out, _, _ = model.refine_batch(up.astype(np.float32), approx)
+    target_vs = input_scene.voxel_size / sr_factor
+    out_pairs = [(tuple(o * sr_factor for o in off),
+                  ScalarGrid3(vals[0].astype(np.float32), target_vs, win.origin))
+                 for (off, win), vals in zip(pairs, out.data)]
     out_dims = tuple(d * sr_factor for d in input_scene.dims)
-    scene = reassemble_windows(out_pairs, out_dims,
-                               voxel_size=input_scene.voxel_size / sr_factor,
+    scene = reassemble_windows(out_pairs, out_dims, voxel_size=target_vs,
                                origin=input_scene.origin)
     mesh = marching_cubes(scene)
     return scene, mesh

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_write
+
 GRID_MAGIC = b"RFG1"
+# u32 nx, ny, nz, f32 voxel size, 3 x f32 origin
+GRID_HEADER = struct.Struct("<IIIf3f")
 
 # Normalized TDF value below which a voxel counts as occupied (raw distance
 # under one voxel at the default truncation of 3 voxels).
@@ -175,21 +180,40 @@ def normalize_tdf(grid: ScalarGrid3, trunc: float) -> ScalarGrid3:
     return grid.with_values(out.astype(raw.dtype, copy=False))
 
 
+def to_blocks(values: np.ndarray, block: int) -> np.ndarray:
+    """(..., D, D, D) windows -> (..., (D/block)^3, block, block, block) blocks,
+    lexicographic (i, j, k) block order within each window."""
+    if (values.ndim < 3 or len(set(values.shape[-3:])) != 1 or block < 1
+            or values.shape[-1] % block):
+        raise ValueError(f"windows of shape {values.shape} do not split into {block}^3 blocks")
+    lead, n = values.shape[:-3], values.shape[-1] // block
+    nl = len(lead)
+    v = values.reshape(*lead, n, block, n, block, n, block)
+    v = v.transpose(*range(nl), nl, nl + 2, nl + 4, nl + 1, nl + 3, nl + 5)
+    return np.ascontiguousarray(v).reshape(*lead, n ** 3, block, block, block)
+
+
+def from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Exact inverse of to_blocks: (..., n^3, b, b, b) -> (..., n*b, n*b, n*b)."""
+    n = round(blocks.shape[-4] ** (1 / 3)) if blocks.ndim >= 4 else 0
+    if n < 1 or n ** 3 != blocks.shape[-4] or len(set(blocks.shape[-3:])) != 1:
+        raise ValueError(f"blocks of shape {blocks.shape} do not fold into a cube")
+    lead, b = blocks.shape[:-4], blocks.shape[-1]
+    nl = len(lead)
+    v = blocks.reshape(*lead, n, n, n, b, b, b)
+    v = v.transpose(*range(nl), nl, nl + 3, nl + 1, nl + 4, nl + 2, nl + 5)
+    return np.ascontiguousarray(v).reshape(*lead, n * b, n * b, n * b)
+
+
 def unfold(scene: ScalarGrid3, layout: ChunkLayout) -> list[ScalarGrid3]:
     """Split one window into its n^3 chunks in lexicographic (i, j, k) order."""
     d = layout.scene_dim
     if scene.dims != (d, d, d):
         raise ValueError(f"scene dims {scene.dims} do not match layout window {d}^3")
-    c = layout.chunk_dim
-    n = layout.n
-    chunks = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                block = scene.values[i * c:(i + 1) * c, j * c:(j + 1) * c, k * c:(k + 1) * c]
-                org = scene.origin + np.array([i, j, k], dtype=np.float64) * (c * scene.voxel_size)
-                chunks.append(ScalarGrid3(np.ascontiguousarray(block), scene.voxel_size, org))
-    return chunks
+    c, n = layout.chunk_dim, layout.n
+    origins = scene.origin + np.indices((n, n, n)).reshape(3, -1).T * (c * scene.voxel_size)
+    return [ScalarGrid3(block, scene.voxel_size, org)
+            for block, org in zip(to_blocks(scene.values, c), origins)]
 
 
 def fold(chunks: list[ScalarGrid3], layout: ChunkLayout) -> ScalarGrid3:
@@ -201,13 +225,8 @@ def fold(chunks: list[ScalarGrid3], layout: ChunkLayout) -> ScalarGrid3:
     for ch in chunks:
         if ch.dims != (c, c, c):
             raise ValueError(f"chunk dims {ch.dims} do not match layout chunk {c}^3")
-    out = np.empty((layout.scene_dim,) * 3, dtype=chunks[0].values.dtype)
-    idx = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i * c:(i + 1) * c, j * c:(j + 1) * c, k * c:(k + 1) * c] = chunks[idx].values
-                idx += 1
+    out = from_blocks(np.stack([ch.values for ch in chunks]).astype(chunks[0].values.dtype,
+                                                                     copy=False))
     return ScalarGrid3(out, chunks[0].voxel_size, chunks[0].origin)
 
 
@@ -304,24 +323,26 @@ def occupancy_fraction(grid: ScalarGrid3, threshold: float = OCCUPANCY_TDF_THRES
 
 
 def write_grid(path, grid: ScalarGrid3) -> None:
-    """Serialize to the RFG1 binary format (little-endian, z fastest)."""
-    nx, ny, nz = grid.dims
-    header = GRID_MAGIC + struct.pack("<IIIf3f", nx, ny, nz, grid.voxel_size,
-                                      *np.asarray(grid.origin, dtype=np.float32))
-    payload = np.ascontiguousarray(grid.values, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
+    """Serialize to the RFG1 binary format (little-endian, z fastest); a
+    reader of path sees the old file or the new one."""
+    header = GRID_MAGIC + GRID_HEADER.pack(*grid.dims, grid.voxel_size,
+                                           *np.asarray(grid.origin, dtype=np.float32))
+    with atomic_write(path) as f:
         f.write(header)
-        f.write(payload)
+        f.write(np.ascontiguousarray(grid.values, dtype="<f4").tobytes())
 
 
 def read_grid(path) -> ScalarGrid3:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != GRID_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {GRID_MAGIC!r}")
-        nx, ny, nz, voxel_size, ox, oy, oz = struct.unpack("<IIIf3f", f.read(28))
-        data = np.frombuffer(f.read(nx * ny * nz * 4), dtype="<f4")
-    if data.size != nx * ny * nz:
-        raise ValueError(f"{path}: truncated payload")
-    values = data.reshape(nx, ny, nz).astype(np.float32)
+    """Read an RFG1 file; a short, overlong or foreign file raises ValueError."""
+    data = Path(path).read_bytes()
+    if data[:4] != GRID_MAGIC:
+        raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {GRID_MAGIC!r}")
+    off = 4 + GRID_HEADER.size
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated RFG1 header")
+    nx, ny, nz, voxel_size, ox, oy, oz = GRID_HEADER.unpack_from(data, 4)
+    if len(data) != off + 4 * nx * ny * nz:
+        raise ValueError(f"{path}: payload is {len(data) - off} bytes, "
+                         f"expected {4 * nx * ny * nz} for {nx}x{ny}x{nz}")
+    values = np.frombuffer(data, "<f4", nx * ny * nz, off).reshape(nx, ny, nz).astype(np.float32)
     return ScalarGrid3(values, voxel_size, np.array([ox, oy, oz], dtype=np.float64))

@@ -11,14 +11,14 @@ tie rule as the brute-force oracle, so results match it bitwise.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .embed import ChunkEncoderPair
-from .grids import ChunkLayout, ScalarGrid3, fold, occupancy_fraction
+from .fileio import atomic_write
+from .grids import ChunkLayout, ScalarGrid3, from_blocks, to_blocks
 from .metrics import OCCUPANCY_TDF_THRESHOLD
 
 DB_MAGIC = b"RFDB"
@@ -192,43 +192,38 @@ def build(encoders: ChunkEncoderPair, scenes: list[ScalarGrid3], layout: ChunkLa
 
 def unfold_values(values: np.ndarray, layout: ChunkLayout) -> list[np.ndarray]:
     """Raw n^3 chunk arrays of one window, lexicographic (i, j, k)."""
-    d, c, n = layout.scene_dim, layout.chunk_dim, layout.n
+    d = layout.scene_dim
     if values.shape != (d, d, d):
         raise ValueError(f"window shape {values.shape} != {(d,) * 3}")
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out.append(np.ascontiguousarray(
-                    values[i * c:(i + 1) * c, j * c:(j + 1) * c, k * c:(k + 1) * c]))
-    return out
+    return list(to_blocks(values, layout.chunk_dim))
+
+
+def retrieve_windows(db: ChunkDatabase, encoders: ChunkEncoderPair,
+                     input_windows: np.ndarray, layout: ChunkLayout, k: int) -> np.ndarray:
+    """Approximation values (N, k, S, S, S) of N input windows (N, s, s, s):
+    rank r holds the r-th neighbor at every chunk slot.  One encoder pass and
+    one k-NN search cover every chunk slot of every window."""
+    wins = np.asarray(input_windows)
+    n, c = layout.n, layout.chunk_dim
+    if wins.ndim != 4 or wins.shape[1] % n:
+        raise ValueError(f"input windows of shape {wins.shape} do not split into {n}^3 chunks")
+    nb = wins.shape[0]
+    in_chunks = to_blocks(wins, wins.shape[1] // n).reshape(nb * n ** 3, -1)
+    rows, _ = _knn_rows(db, encoders.encode_inputs(in_chunks), k)
+    rows = rows.reshape(nb, n ** 3, k).transpose(0, 2, 1)
+    return from_blocks(db.chunks[rows].reshape(nb, k, n ** 3, c, c, c))
 
 
 def assemble_approximations(db: ChunkDatabase, encoders: ChunkEncoderPair,
                             input_window: ScalarGrid3, layout: ChunkLayout,
                             k: int) -> list[ApproxReconstruction]:
     """k candidate windows: rank-r uses the r-th neighbor at every chunk slot."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(db):
-        raise ValueError(f"k={k} exceeds database size {len(db)}")
-    n = layout.n
-    in_dim = input_window.dims[0]
-    if in_dim % n:
-        raise ValueError(f"input window side {in_dim} not divisible into {n} chunks")
-    in_layout = ChunkLayout(scene_dim=in_dim, chunk_dim=in_dim // n, patch_dim=1)
-    in_chunks = np.stack([ch.ravel() for ch in unfold_values(input_window.values, in_layout)])
-    neighbor_rows, _ = _knn_rows(db, encoders.encode_inputs(in_chunks), k)
-
-    target_vs = input_window.voxel_size * in_dim / layout.scene_dim
-    out = []
-    for r in range(k):
-        chunk_grids = [db.chunk_grid(neighbor_rows[slot, r], target_vs)
-                       for slot in range(len(in_chunks))]
-        scene = fold(chunk_grids, layout)
-        scene = ScalarGrid3(scene.values, target_vs, input_window.origin)
-        out.append(ApproxReconstruction(rank=r + 1, scene=scene))
-    return out
+    values = retrieve_windows(db, encoders, input_window.values[None], layout, k)[0]
+    values.setflags(write=False)  # the grids below share it instead of copying
+    target_vs = input_window.voxel_size * input_window.dims[0] / layout.scene_dim
+    return [ApproxReconstruction(rank=r + 1, scene=ScalarGrid3(values[r], target_vs,
+                                                               input_window.origin))
+            for r in range(k)]
 
 
 def extend(db: ChunkDatabase, new_chunks: np.ndarray, encoders: ChunkEncoderPair,
@@ -267,27 +262,19 @@ def save_db(path, db: ChunkDatabase) -> None:
     tags = [t.encode("utf-8") for t in db.tags]
     if any(len(t) > 0xFFFF for t in tags):
         raise ValueError(f"{path}: a tag is longer than 65535 bytes")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(DB_MAGIC + np.array((db.chunk_dim, db.embed_dim, len(db)), DB_HEADER).tobytes())
-            lo = 0
-            # one packed record array per run of entries with equal tag lengths
-            for tag_len, run in itertools.groupby(tags, len):
-                run = list(run)
-                hi = lo + len(run)
-                rec = np.empty(len(run), _record_dtype(tag_len, db.embed_dim, db.chunk_dim))
-                rec["id"], rec["tag_len"] = db.ids[lo:hi], tag_len
-                rec["tag"] = np.frombuffer(b"".join(run), np.uint8).reshape(len(run), tag_len)
-                rec["embedding"], rec["chunk"] = db.embeddings[lo:hi], db.chunks[lo:hi]
-                f.write(rec.tobytes())
-                lo = hi
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as f:
+        f.write(DB_MAGIC + np.array((db.chunk_dim, db.embed_dim, len(db)), DB_HEADER).tobytes())
+        lo = 0
+        # one packed record array per run of entries with equal tag lengths
+        for tag_len, run in itertools.groupby(tags, len):
+            run = list(run)
+            hi = lo + len(run)
+            rec = np.empty(len(run), _record_dtype(tag_len, db.embed_dim, db.chunk_dim))
+            rec["id"], rec["tag_len"] = db.ids[lo:hi], tag_len
+            rec["tag"] = np.frombuffer(b"".join(run), np.uint8).reshape(len(run), tag_len)
+            rec["embedding"], rec["chunk"] = db.embeddings[lo:hi], db.chunks[lo:hi]
+            f.write(rec.tobytes())
+            lo = hi
 
 
 def load_db(path) -> ChunkDatabase:

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
+
+from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = b"RFC1"
 
@@ -256,6 +259,15 @@ def transpose(a: Tensor, axes) -> Tensor:
     out = _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), None)
     if out.requires_grad:
         out._backward = lambda g: _accum(a, g.transpose(inv))
+    return out
+
+
+def rearrange(a: Tensor, fwd, inverse) -> Tensor:
+    """Apply fwd, a fixed reordering of a's elements (array in, array out);
+    the gradient flows back through its inverse."""
+    out = _node(fwd(a.data), (a,), None)
+    if out.requires_grad:
+        out._backward = lambda g: _accum(a, inverse(g))
     return out
 
 
@@ -678,8 +690,9 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
 
 
 def save_checkpoint(store: ParamStore, path):
-    """RFC1 checkpoint: parameters with Adam moments and the step counter."""
-    with open(path, "wb") as f:
+    """RFC1 checkpoint: parameters with Adam moments and the step counter; a
+    reader of path sees the old file or the new one."""
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<QI", store.step, len(store.params)))
         for name, p in store.params.items():
@@ -693,33 +706,51 @@ def save_checkpoint(store: ParamStore, path):
 
 
 def load_checkpoint(store: ParamStore, path):
-    """Overwrite an existing store's arrays by name; shapes must match."""
-    with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not an RFC1 checkpoint")
-        step, count = struct.unpack("<QI", f.read(12))
-        seen = set()
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            numel = int(np.prod(shape)) if ndim else 1
-            blobs = [np.frombuffer(f.read(4 * numel), dtype="<f4").reshape(shape).copy()
-                     for _ in range(3)]
-            if name not in store.params:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            if store.params[name].data.shape != tuple(shape):
-                raise ValueError(f"{path}: shape mismatch for {name!r}: "
-                                 f"{tuple(shape)} vs {store.params[name].data.shape}")
-            dt = store.params[name].data.dtype
-            store.params[name].data = blobs[0].astype(dt)
-            store.m[name] = blobs[1].astype(dt)
-            store.v[name] = blobs[2].astype(dt)
-            seen.add(name)
-    missing = set(store.params) - seen
+    """Overwrite an existing store's arrays by name; shapes must match.  The
+    whole file is checked before the store changes: a short, overlong or
+    mismatched file raises ValueError and leaves the store as it was."""
+    data = Path(path).read_bytes()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not an RFC1 checkpoint")
+    off = 4
+
+    def take(size: int) -> int:
+        """Offset of the next size bytes; raises if the file ends first."""
+        nonlocal off
+        if off + size > len(data):
+            raise ValueError(f"{path}: truncated RFC1 checkpoint at byte {off}")
+        off += size
+        return off - size
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt)))
+
+    step, count = unpack("<QI")
+    loaded = {}
+    for _ in range(count):
+        (nlen,) = unpack("<H")
+        start = take(nlen)
+        name = data[start:start + nlen].decode("utf-8")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        numel = int(np.prod(shape)) if ndim else 1
+        blobs = np.frombuffer(data, "<f4", 3 * numel, take(12 * numel)).reshape(3, *shape)
+        if name not in store.params:
+            raise ValueError(f"{path}: unknown parameter {name!r}")
+        if store.params[name].data.shape != tuple(shape):
+            raise ValueError(f"{path}: shape mismatch for {name!r}: "
+                             f"{tuple(shape)} vs {store.params[name].data.shape}")
+        loaded[name] = blobs
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} trailing bytes after {count} parameters")
+    missing = set(store.params) - set(loaded)
     if missing:
         raise ValueError(f"{path}: checkpoint lacks parameters {sorted(missing)}")
+    for name, (value, m, v) in loaded.items():
+        dt = store.params[name].data.dtype
+        store.params[name].data = value.astype(dt)
+        store.m[name] = m.astype(dt)
+        store.v[name] = v.astype(dt)
     store.step = step
 
 

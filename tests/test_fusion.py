@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from retrivox import embed as E
 from retrivox import fusion as F
+from retrivox import retrievaldb as R
 from retrivox import tensor as T
-from retrivox.grids import ChunkLayout, HyperParams, ScalarGrid3
+from retrivox.grids import (ChunkLayout, HyperParams, ScalarGrid3, from_blocks,
+                            reassemble_windows, windows)
 from retrivox.retrievaldb import ApproxReconstruction
 
 MINI = ChunkLayout(32, 8, 4)
@@ -156,6 +159,123 @@ class TestRefineForward:
         assert out.dims == (8, 8, 8)
         assert out.voxel_size == 0.5
         np.testing.assert_allclose(trace.weights.sum(axis=1), 1.0, atol=1e-6)
+
+
+class TestDedupExactness:
+    """retrieval_cells runs f_retr once per distinct chunk; the result must
+    equal running it per rank on every chunk."""
+
+    def dup_approx(self, cfg, nb=3, distinct=5, seed=0):
+        rng = np.random.default_rng(seed)
+        c, n = cfg.layout.chunk_dim, cfg.layout.n
+        pool = rng.random((distinct, c, c, c)).astype(np.float32)
+        picks = rng.integers(0, distinct, size=(nb, cfg.k, n ** 3))
+        return from_blocks(pool[picks])
+
+    def reference_cells(self, model, approx):
+        """Per-rank, non-dedup cells stacked rank-major like retrieval_cells."""
+        nb = approx.shape[0]
+        per_rank = [model.fold_chunk_cells(model.f_retr(T.Tensor(
+            model.window_chunks(approx[:, r]).astype(model.dtype))), nb)
+            for r in range(approx.shape[1])]
+        return T.concat(per_rank, axis=0)
+
+    def test_cells_bitwise_equal_reference(self):
+        cfg = tiny_config(k=3)
+        model = F.FusionModel(cfg, seed=12)
+        approx = self.dup_approx(cfg)
+        with T.no_grad():
+            got = model.retrieval_cells(approx)
+            want = self.reference_cells(model, approx)
+        assert got.shape == (3 * 3, cfg.feat_channels, 4, 4, 4)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_f_retr_sees_only_distinct_chunks(self):
+        cfg = tiny_config(k=3)
+        model = F.FusionModel(cfg, seed=12)
+        approx = self.dup_approx(cfg, distinct=5)
+        seen = []
+        f_retr = model.f_retr
+
+        def counting(chunks):
+            seen.append(chunks.data.reshape(chunks.shape[0], -1).copy())
+            return f_retr(chunks)
+        model.f_retr = counting
+        with T.no_grad():
+            model.retrieval_cells(approx)
+        # 3 windows x 3 ranks x 8 slots = 72 chunks drawn from 5 payloads
+        assert len(seen) == 1
+        assert len(seen[0]) == len(np.unique(seen[0], axis=0)) == 5
+
+    def test_gradients_match_reference(self):
+        cfg = tiny_config(k=3)
+        model = F.FusionModel(cfg, seed=13)
+        approx = self.dup_approx(cfg, seed=1)
+        proj = T.Tensor(np.random.default_rng(2).standard_normal(
+            (9, cfg.feat_channels, 4, 4, 4)).astype(np.float32))
+
+        def grads(cells):
+            T.backward(T.tsum(T.mul(cells, proj)))
+            out = {n: p.grad.copy() for n, p in model.store.params.items()
+                   if p.grad is not None}
+            model.store.zero_grad()
+            return out
+
+        got = grads(model.retrieval_cells(approx))
+        want = grads(self.reference_cells(model, approx))
+        assert set(got) == set(want) and any(n.startswith("f_retr.") for n in got)
+        for name in want:
+            # duplicates' gradients are summed first: only the summation order
+            # differs, so float32 agrees to a few hundred ulps of the largest entry
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-5,
+                                       atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
+
+
+class TestReconstructScene:
+    def setup_db(self, hp, seed=0):
+        """Untrained encoders over a small database with repeated chunks."""
+        rng = np.random.default_rng(seed)
+        enc = E.ChunkEncoderPair.create(2, 4, hp, seed=seed)
+        chunks = rng.random((12, 4 ** 3)).astype(np.float32)
+        chunks[6:] = chunks[:6]
+        db = R.ChunkDatabase(chunk_dim=4, embed_dim=enc.embed_dim)
+        db.add_entries(chunks, enc.encode_targets(chunks), ["t"] * 12)
+        return db, enc
+
+    def test_batched_scene_equals_per_window_refine(self):
+        cfg = tiny_config(k=2)
+        model = F.FusionModel(cfg, seed=14)
+        db, enc = self.setup_db(HyperParams(embed_dim=8))
+        rng = np.random.default_rng(3)
+        # 2x1x1 windows of side 4 at half resolution
+        scene = ScalarGrid3(rng.random((8, 4, 4)).astype(np.float32), 0.5, (1.0, 2.0, 3.0))
+        got, _ = F.reconstruct_scene(model, db, enc, scene, TINY, sr_factor=2)
+
+        in_layout = ChunkLayout(scene_dim=4, chunk_dim=4, patch_dim=1)
+        pairs = []
+        for off, win in windows(scene, in_layout, stride=4):
+            approx = R.assemble_approximations(db, enc, win, TINY, cfg.k)
+            up = win.values.repeat(2, 0).repeat(2, 1).repeat(2, 2)
+            refined, _ = model.refine(ScalarGrid3(up, 0.25, win.origin), approx)
+            pairs.append((tuple(2 * o for o in off), refined))
+        assert len(pairs) == 2
+        want = reassemble_windows(pairs, (16, 8, 8), voxel_size=0.25, origin=scene.origin)
+        assert got.dims == (16, 8, 8) and got.voxel_size == 0.25
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.origin, scene.origin)
+
+    def test_bad_input_raises_up_front(self):
+        model = F.FusionModel(tiny_config(mode="no_retrieval"), seed=0)
+        vals = np.full((8, 8, 8), 0.5, np.float32)
+        vals[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            F.reconstruct_scene(model, None, None, ScalarGrid3(vals, 1.0), TINY)
+        with pytest.raises(ValueError, match="sr_factor 3"):
+            F.reconstruct_scene(model, None, None, ScalarGrid3.full((4, 4, 4), 0.5), TINY,
+                                sr_factor=3)
+        with pytest.raises(ValueError, match="needs db"):
+            F.reconstruct_scene(F.FusionModel(tiny_config(), seed=0), None, None,
+                                ScalarGrid3.full((8, 8, 8), 0.5), TINY)
 
 
 class TestRefinementLoss:

@@ -6,7 +6,7 @@ import pytest
 
 from retrivox import cli
 from retrivox import pipeline as P
-from retrivox.grids import occupancy_fraction, read_grid
+from retrivox.grids import ScalarGrid3, occupancy_fraction, read_grid, write_grid
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -213,3 +213,25 @@ class TestGridFileFormat:
         g = read_grid(path)
         assert g.dims == (32, 32, 32)
         assert g.voxel_size == pytest.approx(0.054)
+
+    def test_truncated_or_overlong_grid_raises(self, tmp_path):
+        path = tmp_path / "g.rfg1"
+        grid = ScalarGrid3(np.arange(24, dtype=np.float32).reshape(2, 3, 4), 0.5, (1, 2, 3))
+        write_grid(path, grid)
+        back = read_grid(path)
+        np.testing.assert_array_equal(back.values, grid.values)
+        data = path.read_bytes()
+        for bad in (data[:10], data[:31], data[:-1], data + b"\0"):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="g.rfg1"):
+                read_grid(path)
+
+    def test_failed_write_leaves_earlier_file(self, tmp_path):
+        path = tmp_path / "g.rfg1"
+        write_grid(path, ScalarGrid3.full((2, 2, 2), 0.5))
+        before = path.read_bytes()
+        bad = ScalarGrid3(np.array([[["a"]]], dtype=object), 1.0)
+        with pytest.raises((ValueError, TypeError)):
+            write_grid(path, bad)
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["g.rfg1"]

@@ -3,7 +3,8 @@ import pytest
 
 from retrivox import embed as E
 from retrivox import retrievaldb as R
-from retrivox.grids import ChunkLayout, HyperParams, ScalarGrid3, fold, unfold
+from retrivox.grids import (ChunkLayout, HyperParams, ScalarGrid3, fold, from_blocks,
+                            to_blocks, unfold)
 from tests.test_embed import make_toy_prototypes
 
 HP = HyperParams(batch_retrieval=8)
@@ -248,6 +249,58 @@ class TestBuildAndAssemble:
         v[3, 4, 5] = np.nan
         with pytest.raises(ValueError):
             R.assemble_approximations(db, pair, ScalarGrid3(v, 2.0, scene.origin), MINI, k=1)
+
+
+class TestBlocking:
+    def test_round_trip_one_window_and_batch(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((32, 32, 32)).astype(np.float32)
+        blocks = to_blocks(x, 8)
+        assert blocks.shape == (64, 8, 8, 8)
+        np.testing.assert_array_equal(from_blocks(blocks), x)
+        batch = rng.random((3, 2, 16, 16, 16))
+        blocks = to_blocks(batch, 4)
+        assert blocks.shape == (3, 2, 64, 4, 4, 4)
+        np.testing.assert_array_equal(from_blocks(blocks), batch)
+
+    def test_order_matches_unfold(self):
+        rng = np.random.default_rng(1)
+        batch = rng.random((2, 32, 32, 32)).astype(np.float32)
+        blocks = to_blocks(batch, MINI.chunk_dim)
+        for w in range(2):
+            chunks = unfold(ScalarGrid3(batch[w], 1.0), MINI)
+            for got, want, raw in zip(blocks[w], chunks, R.unfold_values(batch[w], MINI)):
+                np.testing.assert_array_equal(got, want.values)
+                np.testing.assert_array_equal(got, raw)
+        # block (i, j, k) = (0, 1, 2) of a 4^3 split sits at flat index 6
+        np.testing.assert_array_equal(blocks[1, 6], batch[1, 0:8, 8:16, 16:24])
+
+    def test_bad_shapes_raise(self):
+        for values, block in ((np.zeros((8, 8, 6)), 2), (np.zeros((8, 8, 8)), 3),
+                              (np.zeros((8, 8)), 2), (np.zeros((8, 8, 8)), 0)):
+            with pytest.raises(ValueError):
+                to_blocks(values, block)
+        for blocks in (np.zeros((7, 2, 2, 2)), np.zeros((8, 2, 2, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                from_blocks(blocks)
+
+    def test_batched_retrieval_equals_assembly_per_window(self):
+        rng = np.random.default_rng(12)
+        pair = E.ChunkEncoderPair.create(4, 8, HP, seed=0)
+        chunks = rng.random((40, 8 ** 3)).astype(np.float32)
+        chunks[20:] = chunks[:20]                    # duplicate entries -> distance ties
+        db = R.ChunkDatabase(chunk_dim=8, embed_dim=pair.embed_dim)
+        db.add_entries(chunks, pair.encode_targets(chunks), ["t"] * 40)
+        # five windows: 320 input chunks cross the encoder's 256-chunk batch
+        wins = rng.random((5, 16, 16, 16)).astype(np.float32)
+        got = R.retrieve_windows(db, pair, wins, MINI, 3)
+        assert got.shape == (5, 3, 32, 32, 32)
+        for w in range(5):
+            approxs = R.assemble_approximations(db, pair, ScalarGrid3(wins[w], 2.0), MINI, k=3)
+            assert [a.rank for a in approxs] == [1, 2, 3]
+            for r, a in enumerate(approxs):
+                np.testing.assert_array_equal(got[w, r], a.scene.values)
+                assert a.scene.voxel_size == 1.0
 
 
 class TestExtend:

@@ -172,6 +172,8 @@ def op_cases(rng):
         ("transpose", lambda: (wrap(lambda a: T.transpose(a, (1, 0, 2))), [rnd(rng, 2, 3, 4)])),
         ("broadcast_to", lambda: (wrap(lambda a: T.broadcast_to(a, (4, 3, 5))),
                                   [rnd(rng, 3, 1)])),
+        ("rearrange", lambda: (wrap(lambda a: T.rearrange(a, np.flipud, np.flipud)),
+                               [rnd(rng, 4, 3)])),
     ]
     return cases
 
@@ -267,6 +269,34 @@ class TestCheckpoint:
         T.save_checkpoint(store, p1)
         T.save_checkpoint(store, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_or_overlong_file_raises_and_leaves_store(self, tmp_path):
+        store = T.ParamStore()
+        store.create("a", np.arange(6, dtype=np.float32).reshape(2, 3))
+        store.create("b", np.ones(4, dtype=np.float32))
+        path = tmp_path / "c.rfc1"
+        T.save_checkpoint(store, path)
+        data = path.read_bytes()
+        target = T.ParamStore()
+        target.create("a", np.zeros((2, 3), dtype=np.float32))
+        target.create("b", np.zeros(4, dtype=np.float32))
+        for bad in (data[:10], data[:-1], data[:len(data) // 2], data + b"\0"):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="c.rfc1"):
+                T.load_checkpoint(target, path)
+            assert not target.params["a"].data.any() and target.step == 0
+
+    def test_failed_save_leaves_earlier_file(self, tmp_path):
+        store = T.ParamStore()
+        store.create("w", np.ones(3, dtype=np.float32))
+        path = tmp_path / "c.rfc1"
+        T.save_checkpoint(store, path)
+        before = path.read_bytes()
+        store.m["w"] = "moments"  # fails to serialize after the first blob is written
+        with pytest.raises(ValueError):
+            T.save_checkpoint(store, path)
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["c.rfc1"]
 
 
 class TestDeterminism:
