@@ -10,13 +10,16 @@ Equivalent CLI:
 """
 
 import dataclasses
+import sys
 
 from retrivox import pipeline as P
 
+# 120 refine steps at the mini profile's lr of 1e-3 leave constant fields and
+# empty meshes; 5e-3 (the benchmark's setting) trains in that budget.
 cfg = P.mini_config(out_dir="/tmp/retrivox_demo", n_train=16, n_test=4,
                     n_extension=4, holdout_category="sphere",
                     n_holdout_test=2, retrieval_iters=300, refine_iters=120,
-                    seed=3)
+                    refine_lr=5e-3, seed=3)
 
 print("stage gen_data:", P.run_stage(cfg, "gen_data"))
 print("stage train_retrieval:", P.run_stage(cfg, "train_retrieval"))
@@ -27,6 +30,8 @@ print("stage reconstruct:", P.run_stage(cfg, "reconstruct"))
 agg = P.run_stage(cfg, "evaluate")
 print(f"test metrics: IoU {agg['iou']:.3f}, CD {agg['chamfer_l1']:.4f}, "
       f"F1 {agg['f_score']:.3f}, NC {agg['normal_consistency']:.3f}")
+if agg["iou"] == 0:
+    sys.exit("test IoU is 0: every reconstructed mesh is empty")
 
 # Table-6-style extension: append held-out-category chunks with the frozen
 # encoders, no retraining, and re-evaluate the held-out scenes.

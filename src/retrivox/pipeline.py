@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -371,7 +372,7 @@ def _roomlet_mesh(rng: np.random.Generator, dim: int, allowed: tuple[str, ...],
                     break
                 lo = np.array([px, py, floor_top])
                 hi = lo + sz
-                mesh = G.box_mesh(lo, sz)
+                build = partial(G.box_mesh, lo, sz)
             elif item.kind == "cylinder":
                 r, h = item.size
                 px = slot(rng, m + 1 + r, dim - m - 1 - r)
@@ -381,7 +382,7 @@ def _roomlet_mesh(rng: np.random.Generator, dim: int, allowed: tuple[str, ...],
                 cx, cy = px + 0.5, py + 0.5
                 lo = np.array([cx - r, cy - r, floor_top])
                 hi = np.array([cx + r, cy + r, floor_top + h])
-                mesh = G.cylinder_mesh((cx, cy, floor_top), r, h, n_seg=14)
+                build = partial(G.cylinder_mesh, (cx, cy, floor_top), r, h, n_seg=14)
             else:  # sphere
                 (r,) = item.size
                 px = slot(rng, m + 1 + r, dim - m - 1 - r)
@@ -392,7 +393,7 @@ def _roomlet_mesh(rng: np.random.Generator, dim: int, allowed: tuple[str, ...],
                 cz = floor_top + r
                 lo = np.array([cx - r, cy - r, cz - r])
                 hi = np.array([cx + r, cy + r, cz + r])
-                mesh = G.uv_sphere_mesh((cx, cy, cz), r, n_theta=10, n_phi=14)
+                build = partial(G.uv_sphere_mesh, (cx, cy, cz), r, n_theta=10, n_phi=14)
             if hi[2] > dim - m or hi[0] > dim - m or hi[1] > dim - m:
                 continue
             if lo[0] < m or lo[1] < m:
@@ -401,7 +402,7 @@ def _roomlet_mesh(rng: np.random.Generator, dim: int, allowed: tuple[str, ...],
             if any(_aabb_overlap(c_lo, c_hi, b_lo, b_hi, margin=clear)
                    for b_lo, b_hi in boxes):
                 continue
-            parts.append(mesh)
+            parts.append(build())  # only accepted placements are meshed
             boxes.append((c_lo, c_hi))
             cats.append(item.kind)
             break

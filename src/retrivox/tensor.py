@@ -9,6 +9,9 @@ the same graphs in float64.
 No implicit broadcasting beyond bias-add: elementwise ops take equal shapes
 or a python scalar, anything else goes through reshape/transpose/broadcast_to
 explicitly.
+
+conv3 and transposed_conv3 share one im2col core: one GEMM per sample and
+column block, forward and backward.
 """
 
 from __future__ import annotations
@@ -490,67 +493,100 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # 3-D convolution ops; activations are (N, C, X, Y, Z)
+#
+# One im2col core serves both ops.  _cols copies the k^3 strided views that a
+# range of output x-planes reads into a column block (N, C*k^3, planes*Y*Z)
+# whose rows follow w.reshape(rows, -1); _col2im, its adjoint, scatter-adds a
+# block back.  A transposed conv is the adjoint of a conv, so it runs the same
+# pair the other way round.
 # ---------------------------------------------------------------------------
 
-def _conv_out_dim(d: int, k: int, stride: int, pad: int) -> int:
-    return (d + 2 * pad - k) // stride + 1
+# Per-sample byte budget of one column block.  Blocks are sized from one
+# sample's shape and every sample gets its own GEMM, so a sample's output does
+# not depend on the batch it comes in (the f_retr dedup relies on that).
+_COL_BLOCK_BYTES = 1 << 20
+
+
+def _conv_args(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int, pad: int,
+               cin_axis: int):
+    """Check a conv call before any work; returns (n, cin, spatial, cout, k)."""
+    if x.data.ndim != 5:
+        raise ValueError(f"{op} expects (N, C, X, Y, Z), got {x.shape}")
+    if stride < 1 or pad < 0:
+        raise ValueError(f"{op}: need stride >= 1 and pad >= 0, got stride={stride}, pad={pad}")
+    n, cin, *spatial = x.shape
+    if w.data.ndim != 5 or w.shape[cin_axis] != cin or len(set(w.shape[2:])) != 1:
+        raise ValueError(f"{op} weight {w.shape} incompatible with input {x.shape}")
+    cout, k = w.shape[1 - cin_axis], w.shape[2]
+    if b is not None and b.shape != (cout,):
+        raise ValueError(f"{op} bias shape {b.shape} != ({cout},)")
+    return n, cin, spatial, cout, k
+
+
+def _plane_blocks(rows: int, od, itemsize: int) -> list[tuple[int, int]]:
+    """Ranges [x0, x1) of output x-planes whose per-sample column block of
+    `rows` rows fits _COL_BLOCK_BYTES (at least one plane each)."""
+    step = max(1, _COL_BLOCK_BYTES // (rows * od[1] * od[2] * itemsize))
+    return [(x0, min(x0 + step, od[0])) for x0 in range(0, od[0], step)]
+
+
+def _tap_views(a: np.ndarray, cols: np.ndarray, k: int, stride: int, x0: int, x1: int, od):
+    """Per tap: its rows of the column block and the slice of a (N, C, ...)
+    that it reads for output planes x0:x1 of an unpadded stride conv."""
+    n, c = a.shape[:2]
+    cols = cols.reshape(n, c, k ** 3, x1 - x0, od[1], od[2])
+    for t, (i, j, l) in enumerate(np.ndindex(k, k, k)):
+        yield cols[:, :, t], a[:, :, i + stride * x0:i + stride * (x1 - 1) + 1:stride,
+                               j:j + stride * (od[1] - 1) + 1:stride,
+                               l:l + stride * (od[2] - 1) + 1:stride]
+
+
+def _cols(xp: np.ndarray, k: int, stride: int, x0: int, x1: int, od) -> np.ndarray:
+    """Column block (N, C*k^3, (x1 - x0) * od[1] * od[2]) of xp."""
+    cols = np.empty((*xp.shape[:2], k ** 3 * (x1 - x0) * od[1] * od[2]), dtype=xp.dtype)
+    for rows, view in _tap_views(xp, cols, k, stride, x0, x1, od):
+        rows[...] = view
+    return cols.reshape(xp.shape[0], -1, (x1 - x0) * od[1] * od[2])
+
+
+def _col2im(dst: np.ndarray, cols: np.ndarray, k: int, stride: int, x0: int, x1: int, od):
+    """Adjoint of _cols: scatter-add a column block into dst."""
+    for rows, view in _tap_views(dst, cols, k, stride, x0, x1, od):
+        view += rows
 
 
 def conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
           stride: int = 1, pad: int = 0) -> Tensor:
     """3-D convolution; w is (Cout, Cin, K, K, K)."""
-    if x.data.ndim != 5:
-        raise ValueError(f"conv3 expects (N, C, X, Y, Z), got {x.shape}")
-    n, cin, *spatial = x.shape
-    cout, cin_w, k, k2, k3 = w.shape
-    if cin != cin_w or k != k2 or k != k3:
-        raise ValueError(f"conv3 weight {w.shape} incompatible with input {x.shape}")
-    od = [_conv_out_dim(d, k, stride, pad) for d in spatial]
+    n, cin, spatial, cout, k = _conv_args("conv3", x, w, b, stride, pad, cin_axis=1)
+    od = [(d + 2 * pad - k) // stride + 1 for d in spatial]
     if min(od) < 1:
         raise ValueError(f"conv3 output would be empty: in {spatial}, k={k}, stride={stride}, pad={pad}")
     xp = np.pad(x.data, ((0, 0), (0, 0)) + ((pad, pad),) * 3) if pad else x.data
-    p_flat = od[0] * od[1] * od[2]
-
-    def _slice(a, bb, c):
-        xs = xp[:, :, a:a + stride * od[0]:stride,
-                bb:bb + stride * od[1]:stride,
-                c:c + stride * od[2]:stride]
-        return np.ascontiguousarray(xs).reshape(n, cin, p_flat)
-
-    out_flat = np.zeros((n, cout, p_flat), dtype=x.dtype)
-    for a in range(k):
-        for bb in range(k):
-            for c in range(k):
-                out_flat += np.matmul(w.data[:, :, a, bb, c], _slice(a, bb, c))
-    data = out_flat.reshape(n, cout, *od)
+    wm = w.data.reshape(cout, -1)
+    blocks = _plane_blocks(wm.shape[1], od, xp.itemsize)
+    data = np.empty((n, cout, *od), dtype=x.dtype)
+    for x0, x1 in blocks:
+        data[:, :, x0:x1] = np.matmul(wm, _cols(xp, k, stride, x0, x1, od)).reshape(
+            n, cout, x1 - x0, od[1], od[2])
     if b is not None:
-        if b.shape != (cout,):
-            raise ValueError(f"conv3 bias shape {b.shape} != ({cout},)")
-        data = data + b.data.reshape(1, cout, 1, 1, 1)
+        data += b.data.reshape(1, cout, 1, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
     out = _node(data, parents, None)
 
     def bwd(g):
-        gf = np.ascontiguousarray(g).reshape(n, cout, p_flat)
         gxp = np.zeros_like(xp) if x.requires_grad else None
-        gw = np.zeros_like(w.data) if w.requires_grad else None
-        for a in range(k):
-            for bb in range(k):
-                for c in range(k):
-                    if gw is not None:
-                        gw[:, :, a, bb, c] = np.tensordot(gf, _slice(a, bb, c),
-                                                          axes=([0, 2], [0, 2]))
-                    if gxp is not None:
-                        gx_block = np.matmul(w.data[:, :, a, bb, c].T, gf).reshape(n, cin, *od)
-                        gxp[:, :, a:a + stride * od[0]:stride,
-                            bb:bb + stride * od[1]:stride,
-                            c:c + stride * od[2]:stride] += gx_block
+        gwt = np.zeros_like(wm.T) if w.requires_grad else None
+        for x0, x1 in blocks:
+            gb = g[:, :, x0:x1].reshape(n, cout, -1)
+            if gwt is not None:
+                gwt += np.tensordot(_cols(xp, k, stride, x0, x1, od), gb, axes=([0, 2], [0, 2]))
+            if gxp is not None:
+                _col2im(gxp, np.matmul(wm.T, gb), k, stride, x0, x1, od)
         if gxp is not None:
-            gx = gxp[:, :, pad:pad + spatial[0], pad:pad + spatial[1], pad:pad + spatial[2]] \
-                if pad else gxp
-            _accum(x, gx)
-        if gw is not None:
-            _accum(w, gw)
+            _accum(x, gxp[:, :, pad:pad + spatial[0], pad:pad + spatial[1], pad:pad + spatial[2]])
+        if gwt is not None:
+            _accum(w, gwt.T.reshape(w.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3, 4)))
     if out.requires_grad:
@@ -564,56 +600,39 @@ def transposed_conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     Output spatial dim = (in - 1) * stride + K - 2 * pad.
     """
-    if x.data.ndim != 5:
-        raise ValueError(f"transposed_conv3 expects (N, C, X, Y, Z), got {x.shape}")
-    n, cin, *spatial = x.shape
-    cin_w, cout, k, k2, k3 = w.shape
-    if cin != cin_w or k != k2 or k != k3:
-        raise ValueError(f"transposed_conv3 weight {w.shape} incompatible with input {x.shape}")
+    n, cin, spatial, cout, k = _conv_args("transposed_conv3", x, w, b, stride, pad, cin_axis=0)
     full = [(d - 1) * stride + k for d in spatial]
     od = [f - 2 * pad for f in full]
     if min(od) < 1:
         raise ValueError("transposed_conv3 output would be empty")
-    xf = x.data.reshape(n, cin, -1)
+    # the adjoint of a stride conv with weight w from (N, Cout, *full) to x's shape
+    wm = w.data.reshape(cin, -1)
+    blocks = _plane_blocks(wm.shape[1], spatial, x.data.itemsize)
     out_full = np.zeros((n, cout, *full), dtype=x.dtype)
-    for a in range(k):
-        for bb in range(k):
-            for c in range(k):
-                contrib = np.matmul(w.data[:, :, a, bb, c].T, xf).reshape(n, cout, *spatial)
-                out_full[:, :, a:a + stride * spatial[0]:stride,
-                         bb:bb + stride * spatial[1]:stride,
-                         c:c + stride * spatial[2]:stride] += contrib
-    data = out_full[:, :, pad:pad + od[0], pad:pad + od[1], pad:pad + od[2]] if pad else out_full
-    data = np.ascontiguousarray(data)
+    for x0, x1 in blocks:
+        _col2im(out_full, np.matmul(wm.T, x.data[:, :, x0:x1].reshape(n, cin, -1)),
+                k, stride, x0, x1, spatial)
+    data = np.ascontiguousarray(out_full[:, :, pad:pad + od[0], pad:pad + od[1], pad:pad + od[2]])
     if b is not None:
-        if b.shape != (cout,):
-            raise ValueError(f"transposed_conv3 bias shape {b.shape} != ({cout},)")
-        data = data + b.data.reshape(1, cout, 1, 1, 1)
+        data += b.data.reshape(1, cout, 1, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
     out = _node(data, parents, None)
 
     def bwd(g):
-        gfull = np.zeros((n, cout, *full), dtype=g.dtype)
-        gfull[:, :, pad:pad + od[0], pad:pad + od[1], pad:pad + od[2]] = g
-        gx = np.zeros_like(x.data) if x.requires_grad else None
-        gw = np.zeros_like(w.data) if w.requires_grad else None
-        xs_flat = xf
-        for a in range(k):
-            for bb in range(k):
-                for c in range(k):
-                    gslice = gfull[:, :, a:a + stride * spatial[0]:stride,
-                                   bb:bb + stride * spatial[1]:stride,
-                                   c:c + stride * spatial[2]:stride]
-                    gslice = np.ascontiguousarray(gslice).reshape(n, cout, -1)
-                    if gx is not None:
-                        gx += np.matmul(w.data[:, :, a, bb, c], gslice).reshape(x.shape)
-                    if gw is not None:
-                        gw[:, :, a, bb, c] = np.tensordot(xs_flat, gslice,
-                                                          axes=([0, 2], [0, 2]))
+        gfull = np.pad(g, ((0, 0), (0, 0)) + ((pad, pad),) * 3) if pad else g
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        gwt = np.zeros_like(wm.T) if w.requires_grad else None
+        for x0, x1 in blocks:
+            cols = _cols(gfull, k, stride, x0, x1, spatial)
+            if gx is not None:
+                gx[:, :, x0:x1] = np.matmul(wm, cols).reshape(n, cin, x1 - x0, *spatial[1:])
+            if gwt is not None:
+                gwt += np.tensordot(cols, x.data[:, :, x0:x1].reshape(n, cin, -1),
+                                    axes=([0, 2], [0, 2]))
         if gx is not None:
             _accum(x, gx)
-        if gw is not None:
-            _accum(w, gw)
+        if gwt is not None:
+            _accum(w, gwt.T.reshape(w.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3, 4)))
     if out.requires_grad:

@@ -1,0 +1,24 @@
+"""Smoke test: demos 01-06 run to completion.  Demo 07 trains the whole
+pipeline for minutes and is left out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -84,6 +84,24 @@ class TestSceneGenerator:
         rec = P.generate_scene(cfg, "extension", 0)
         assert "sphere" in rec.categories
 
+    def test_meshes_built_only_for_accepted_parts(self, tmp_path, monkeypatch):
+        built, merged = [], []
+        for name in ("box_mesh", "cylinder_mesh", "uv_sphere_mesh"):
+            make = getattr(P.G, name)
+            monkeypatch.setattr(P.G, name,
+                                lambda *a, _make=make, **kw: built.append(1) or _make(*a, **kw))
+        merge = P.G.merge_meshes
+        monkeypatch.setattr(P.G, "merge_meshes", lambda parts: merged.append(len(parts)) or merge(parts))
+        cfg = tiny_cfg(tmp_path)
+        dim = cfg.layout.scene_dim
+        catalog = P._furniture_catalog(cfg.seed, dim)
+        for seed in range(6):
+            built.clear()
+            merged.clear()
+            P._roomlet_mesh(np.random.default_rng(seed), dim, P.CATEGORIES, None,
+                            cfg.max_furnishings, catalog)
+            assert merged == [len(built)]
+
     def test_point_input_density(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         rec = P.generate_scene(cfg, "train", 0)

@@ -56,6 +56,75 @@ class TestForwardValues:
         assert up[0, 0, 3, 3, 3] == x[0, 0, 1, 1, 1]
 
 
+def direct_conv3(x, w, stride, pad):
+    """Direct-sum oracle: every output voxel as one sum over its k^3 window."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((pad, pad),) * 3)
+    od = [(d + 2 * pad - k) // stride + 1 for d in x.shape[2:]]
+    out = np.zeros((x.shape[0], w.shape[0], *od))
+    for i, j, l in np.ndindex(*od):
+        win = xp[:, :, i * stride:i * stride + k, j * stride:j * stride + k, l * stride:l * stride + k]
+        out[:, :, i, j, l] = np.einsum("ncabd,ocabd->no", win, w)
+    return out
+
+
+class TestConvCore:
+    def test_bad_stride_pad_and_bias_raise(self):
+        x = T.Tensor(np.zeros((1, 2, 4, 4, 4)))
+        w = T.Tensor(np.zeros((2, 2, 3, 3, 3)))
+        for op in (T.conv3, T.transposed_conv3):
+            with pytest.raises(ValueError, match="stride"):
+                op(x, w, stride=0)
+            with pytest.raises(ValueError, match="pad"):
+                op(x, w, pad=-1)
+            with pytest.raises(ValueError, match="bias"):
+                op(x, w, T.Tensor(np.zeros(3)))
+
+    def test_sample_bitwise_equal_alone_and_in_batch(self):
+        rng = np.random.default_rng(8)
+        x = rnd(rng, 5, 16, 4, 4, 4).astype(np.float32)
+        w = rnd(rng, 32, 16, 3, 3, 3).astype(np.float32)
+        wt = rnd(rng, 16, 8, 2, 2, 2).astype(np.float32)
+        with T.no_grad():
+            for op, wgt, kw in ((T.conv3, w, dict(stride=2, pad=1)),
+                                (T.transposed_conv3, wt, dict(stride=2, pad=0))):
+                batch = op(T.Tensor(x), T.Tensor(wgt), **kw).data
+                alone = op(T.Tensor(x[3:4]), T.Tensor(wgt), **kw).data
+                assert np.array_equal(alone[0], batch[3])
+
+    def test_multi_block_conv_matches_direct_sum(self):
+        rng = np.random.default_rng(4)
+        x = rnd(rng, 1, 8, 32, 32, 32).astype(np.float32)
+        w = rnd(rng, 1, 8, 3, 3, 3).astype(np.float32)
+        assert len(T._plane_blocks(8 * 27, (32, 32, 32), 4)) > 1
+        out = T.conv3(T.Tensor(x), T.Tensor(w), stride=1, pad=1).data
+        np.testing.assert_allclose(out, direct_conv3(x.astype(np.float64), w, 1, 1),
+                                   rtol=1e-4, atol=1e-4)
+
+    def test_multi_block_gradcheck(self, monkeypatch):
+        monkeypatch.setattr(T, "_COL_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(5)
+
+        def wrap(f):
+            return lambda *ts: scalarize(f(*ts), np.random.default_rng(99))
+        cases = [(lambda x, w, b: T.conv3(x, w, b, stride=2, pad=1),
+                  [rnd(rng, 2, 2, 5, 4, 3), rnd(rng, 3, 2, 3, 3, 3), rnd(rng, 3)]),
+                 (lambda x, w, b: T.transposed_conv3(x, w, b, stride=2, pad=1),
+                  [rnd(rng, 2, 3, 3, 2, 3), rnd(rng, 3, 2, 3, 3, 3), rnd(rng, 2)])]
+        for fn, inputs in cases:
+            assert T.gradcheck(wrap(fn), inputs) < 1e-4
+
+    def test_float64_stays_float64(self):
+        rng = np.random.default_rng(6)
+        x = T.Tensor(rnd(rng, 2, 2, 4, 4, 4), requires_grad=True)
+        w = T.Tensor(rnd(rng, 2, 2, 3, 3, 3), requires_grad=True)
+        for op in (T.conv3, T.transposed_conv3):
+            out = op(x, w, stride=2, pad=1)
+            T.backward(T.tsum(out))
+            assert out.dtype == x.grad.dtype == w.grad.dtype == np.float64
+            x.grad = w.grad = None
+
+
 class TestBackward:
     def test_sum_gradient_ones(self):
         w = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -148,6 +217,8 @@ def op_cases(rng):
                               [rnd(rng, 1, 3, 4, 4, 4), rnd(rng, 2, 3, 3, 3, 3)])),
         ("transposed_conv3", lambda: (wrap(lambda x, w, b: T.transposed_conv3(x, w, b, stride=2, pad=1)),
                                       [rnd(rng, 2, 3, 3, 3, 3), rnd(rng, 3, 2, 4, 4, 4), rnd(rng, 2)])),
+        ("transposed_conv3_k2s2", lambda: (wrap(lambda x, w, b: T.transposed_conv3(x, w, b, stride=2, pad=0)),
+                                           [rnd(rng, 2, 3, 3, 3, 3), rnd(rng, 3, 2, 2, 2, 2), rnd(rng, 2)])),
         ("relu", lambda: (wrap(T.relu), [away_from_zero(4, 4)])),
         ("leaky_relu", lambda: (wrap(T.leaky_relu), [away_from_zero(5, 3)])),
         ("sigmoid", lambda: (wrap(T.sigmoid), [rnd(rng, 4, 4)])),
