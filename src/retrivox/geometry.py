@@ -6,6 +6,15 @@ isosurface extraction via 256-case marching cubes with vertex welding,
 area-weighted surface sampling, solid voxelization by ray-cast parity,
 and OBJ import/export.
 
+Mesh-to-TDF is one vectorized pass over (voxel, triangle) pairs.  A pair
+farther than the truncation adds nothing, so the pass culls exactly: it
+keeps only voxel centers within trunc voxels (Euclidean) of the triangle's
+AABB, built per voxel column as one z-run.  The kept pairs are cut into
+fixed blocks of _PAIR_BLOCK, each scored by one point_triangle_distances
+call (region-based closest point on x/y/z columns) and folded into the
+grid with one minimum scatter.  Meshes with non-finite vertices are
+rejected.
+
 Grid sample points are voxel centers: origin + (index + 0.5) * voxel_size.
 """
 
@@ -83,7 +92,8 @@ class TriMesh:
         e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
                             self.faces[:, [2, 0]]])
         e.sort(axis=1)
-        _, counts = np.unique(e, axis=0, return_counts=True)
+        # one integer key per undirected edge: a 1-D unique, not a row-wise one
+        _, counts = np.unique(e[:, 0] * self.n_vertices + e[:, 1], return_counts=True)
         return int((counts % 2 == 1).sum())
 
     def is_watertight(self) -> bool:
@@ -103,109 +113,170 @@ def euler_characteristic(mesh: TriMesh) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closest point on triangle (vectorized over pairs)
+# point-triangle distance (vectorized over pairs)
 # ---------------------------------------------------------------------------
 
-def closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
-                               c: np.ndarray) -> np.ndarray:
-    """Closest point to p on triangle (a, b, c), all arrays (M, 3).
+def point_triangle_distances(p, a, b, c) -> np.ndarray:
+    """Distance from p[i] to triangle (a[i], b[i], c[i]); all arrays (M, 3).
 
-    Region-based closest-point construction; later writes take priority so
-    the vertex regions win exactly as in the sequential formulation.
+    Region-based closest point (Ericson, Real-Time Collision Detection, 2004,
+    5.1.5) on x/y/z columns.  Each pair's region is picked in the priority
+    order of the sequential formulation (vertex A, B, C, then edge AB, AC,
+    BC, then the face), and only that region's formula runs on its pairs.
     """
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    (px, py, pz), (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (
+        np.asarray(v, dtype=np.float64).reshape(-1, 3).T for v in (p, a, b, c))
+    abx, aby, abz = bx - ax, by - ay, bz - az
+    acx, acy, acz = cx - ax, cy - ay, cz - az
+    apx, apy, apz = px - ax, py - ay, pz - az
+    bpx, bpy, bpz = px - bx, py - by, pz - bz
+    cpx, cpy, cpz = px - cx, py - cy, pz - cz
+    d1 = abx * apx + aby * apy + abz * apz
+    d2 = acx * apx + acy * apy + acz * apz
+    d3 = abx * bpx + aby * bpy + abz * bpz
+    d4 = acx * bpx + acy * bpy + acz * bpz
+    d5 = abx * cpx + aby * cpy + abz * cpz
+    d6 = acx * cpx + acy * cpy + acz * cpz
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
+    # later writes take priority, as in the sequential formulation; an edge
+    # of zero length (d1 - d3 = |ab|^2 and so on) has no region of its own
+    region = np.zeros(len(d1), dtype=np.int8)                   # face
+    region[(va <= 0) & (d4 >= d3) & (d5 >= d6) & (d4 - d3 + d5 - d6 > 0)] = 6  # edge BC
+    region[(vb <= 0) & (d2 >= 0) & (d6 <= 0) & (d2 > d6)] = 5   # edge AC
+    region[(vc <= 0) & (d1 >= 0) & (d3 <= 0) & (d1 > d3)] = 4   # edge AB
+    region[(d6 >= 0) & (d5 <= d6)] = 3                          # vertex C
+    region[(d3 >= 0) & (d4 <= d3)] = 2                          # vertex B
+    region[(d1 <= 0) & (d2 <= 0)] = 1                           # vertex A
+    order = np.argsort(region, kind="stable")
+    bounds = np.cumsum(np.bincount(region, minlength=7))
+    pairs = [order[lo:hi] for lo, hi in zip(np.r_[0, bounds[:-1]], bounds)]
 
-    denom = va + vb + vc
-    denom = np.where(denom == 0.0, 1.0, denom)
-    v = (vb / denom)[:, None]
-    w = (vc / denom)[:, None]
-    out = a + ab * v + ac * w  # interior default
+    out = np.empty(len(d1))
 
-    m = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)  # edge BC
-    t = np.where(m, (d4 - d3) / np.where(m, (d4 - d3) + (d5 - d6), 1.0), 0.0)
-    out[m] = b[m] + (c - b)[m] * t[m, None]
+    def put(m, dx, dy, dz):
+        out[m] = np.sqrt(dx * dx + dy * dy + dz * dz)
 
-    m = (vb <= 0) & (d2 >= 0) & (d6 <= 0)  # edge AC
-    t = np.where(m, d2 / np.where(m, d2 - d6, 1.0), 0.0)
-    out[m] = a[m] + ac[m] * t[m, None]
-
-    m = (vc <= 0) & (d1 >= 0) & (d3 <= 0)  # edge AB
-    t = np.where(m, d1 / np.where(m, d1 - d3, 1.0), 0.0)
-    out[m] = a[m] + ab[m] * t[m, None]
-
-    m = (d6 >= 0) & (d5 <= d6)  # vertex C
-    out[m] = c[m]
-    m = (d3 >= 0) & (d4 <= d3)  # vertex B
-    out[m] = b[m]
-    m = (d1 <= 0) & (d2 <= 0)  # vertex A
-    out[m] = a[m]
+    m = pairs[1]
+    put(m, apx[m], apy[m], apz[m])
+    m = pairs[2]
+    put(m, bpx[m], bpy[m], bpz[m])
+    m = pairs[3]
+    put(m, cpx[m], cpy[m], cpz[m])
+    m = pairs[4]
+    t = d1[m] / (d1[m] - d3[m])
+    put(m, px[m] - (ax[m] + abx[m] * t), py[m] - (ay[m] + aby[m] * t),
+        pz[m] - (az[m] + abz[m] * t))
+    m = pairs[5]
+    t = d2[m] / (d2[m] - d6[m])
+    put(m, px[m] - (ax[m] + acx[m] * t), py[m] - (ay[m] + acy[m] * t),
+        pz[m] - (az[m] + acz[m] * t))
+    m = pairs[6]
+    e43, e56 = d4[m] - d3[m], d5[m] - d6[m]
+    t = e43 / (e43 + e56)
+    put(m, px[m] - (bx[m] + (cx[m] - bx[m]) * t), py[m] - (by[m] + (cy[m] - by[m]) * t),
+        pz[m] - (bz[m] + (cz[m] - bz[m]) * t))
+    m = pairs[0]
+    denom = va[m] + vb[m] + vc[m]
+    denom[denom == 0.0] = 1.0
+    v, w = vb[m] / denom, vc[m] / denom
+    put(m, px[m] - (ax[m] + abx[m] * v + acx[m] * w), py[m] - (ay[m] + aby[m] * v + acy[m] * w),
+        pz[m] - (az[m] + abz[m] * v + acz[m] * w))
     return out
-
-
-def point_triangle_distances(p, a, b, c) -> np.ndarray:
-    cp = closest_point_on_triangles(p, a, b, c)
-    return np.linalg.norm(p - cp, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # mesh -> unsigned TDF
 # ---------------------------------------------------------------------------
 
+# (voxel, triangle) pairs built per block of the mesh -> TDF pass: small
+# enough that the block's index arrays and the kernel's temporaries stay in
+# cache
+_PAIR_BLOCK = 1 << 14
+
+
+def _check_finite(mesh: TriMesh, caller: str) -> None:
+    bad = ~np.isfinite(mesh.vertices).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{caller}: mesh ({mesh.n_vertices} vertices) has {int(bad.sum())} "
+                         f"non-finite vertices, the first at index {int(np.argmax(bad))}")
+
+
+def _gap(x, lo, hi):
+    """Distance along one axis from coordinates x to the intervals [lo, hi]."""
+    return np.maximum(np.maximum(lo - x, x - hi), 0.0)
+
+
+def _near_pairs(lo, hi, axes, reach):
+    """Blocks (t, ix, iy, iz) of at most _PAIR_BLOCK (triangle, voxel) pairs
+    covering every voxel center within `reach` (Euclidean) of the AABB
+    [lo[:, t], hi[:, t]] of some triangle t; lo and hi are (3 axes, T).
+
+    Each triangle's AABB padded by `reach` is a set of (x, y) voxel columns.
+    A column whose (x, y) gap to the AABB leaves a rest h of the reach keeps
+    the z-run of centers within h of the AABB's z-interval; the runs of all
+    columns, laid end to end, are cut into blocks.
+    """
+    x0 = np.searchsorted(axes[0], lo[0] - reach, side="left")
+    y0 = np.searchsorted(axes[1], lo[1] - reach, side="left")
+    nx = np.maximum(np.searchsorted(axes[0], hi[0] + reach, side="right") - x0, 0)
+    ny = np.maximum(np.searchsorted(axes[1], hi[1] + reach, side="right") - y0, 0)
+    col_start = np.cumsum(nx * ny) - nx * ny
+    n_cols = int((nx * ny).sum())
+    for c in range(0, n_cols, _PAIR_BLOCK):
+        col = np.arange(c, min(c + _PAIR_BLOCK, n_cols))
+        t = np.searchsorted(col_start, col, side="right") - 1
+        ix, iy = np.divmod(col - col_start[t], ny[t])
+        ix += x0[t]
+        iy += y0[t]
+        g2 = _gap(axes[0][ix], lo[0, t], hi[0, t]) ** 2 + _gap(axes[1][iy], lo[1, t], hi[1, t]) ** 2
+        keep = np.flatnonzero(g2 <= reach * reach)
+        t, ix, iy = t[keep], ix[keep], iy[keep]
+        h = np.sqrt(reach * reach - g2[keep])
+        z0 = np.searchsorted(axes[2], lo[2, t] - h, side="left")
+        run = np.searchsorted(axes[2], hi[2, t] + h, side="right") - z0
+        run_start = np.cumsum(run) - run
+        z_base = z0 - run_start          # iz = z_base[column] + pair index
+        n_pairs = int(run.sum())
+        for s in range(0, n_pairs, _PAIR_BLOCK):
+            pair = np.arange(s, min(s + _PAIR_BLOCK, n_pairs))
+            k = np.searchsorted(run_start, pair, side="right") - 1
+            yield t[k], ix[k], iy[k], z_base[k] + pair
+
+
 def _raw_distance_voxels(mesh: TriMesh, dims, voxel_size: float, origin,
                          trunc: float) -> np.ndarray:
     """Per-voxel min distance to the surface, in voxel units, clamped at trunc.
 
-    Exact point-triangle distance inside a (trunc + 1)-voxel dilated AABB of
-    each triangle; everything farther stays at trunc.
+    One vectorized pass over (voxel, triangle) pairs.  A pair at distance
+    >= trunc adds trunc, which every voxel already holds, so only the pairs
+    whose voxel center lies within trunc voxels of the triangle's AABB are
+    scored (exact cull: the AABB is never farther than the triangle).  Each
+    block of pairs gets one point_triangle_distances call and one minimum
+    scatter into the grid.
     """
     dims = tuple(int(d) for d in dims)
     origin = np.asarray(origin, dtype=np.float64)
     raw = np.full(dims, float(trunc), dtype=np.float64)
     axes = [origin[i] + (np.arange(dims[i]) + 0.5) * voxel_size for i in range(3)]
-    band = (trunc + 1.0) * voxel_size
-    va, vb, vc = mesh.triangle_corners()
-    for t in range(mesh.n_faces):
-        tri = np.stack([va[t], vb[t], vc[t]])
-        lo = tri.min(axis=0) - band
-        hi = tri.max(axis=0) + band
-        sl = []
-        for ax in range(3):
-            i0 = int(np.searchsorted(axes[ax], lo[ax], side="left"))
-            i1 = int(np.searchsorted(axes[ax], hi[ax], side="right"))
-            if i0 >= i1:
-                sl = None
-                break
-            sl.append(slice(i0, i1))
-        if sl is None:
-            continue
-        gx, gy, gz = np.meshgrid(axes[0][sl[0]], axes[1][sl[1]], axes[2][sl[2]],
-                                 indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        d = point_triangle_distances(pts, np.broadcast_to(va[t], pts.shape),
-                                     np.broadcast_to(vb[t], pts.shape),
-                                     np.broadcast_to(vc[t], pts.shape))
-        d = np.minimum(d / voxel_size, trunc)
-        block = raw[sl[0], sl[1], sl[2]]
-        raw[sl[0], sl[1], sl[2]] = np.minimum(block, d.reshape(block.shape))
+    corners = np.stack(mesh.triangle_corners())               # (3 corners, T, 3 axes)
+    a, b, c = (np.ascontiguousarray(v.T) for v in corners)    # (3 axes, T) each
+    flat = raw.reshape(-1)
+    # the margin keeps every pair whose computed distance may round below trunc
+    reach = trunc * voxel_size * (1.0 + 1e-6)
+    for t, ix, iy, iz in _near_pairs(corners.min(axis=0).T, corners.max(axis=0).T, axes, reach):
+        p = np.stack([axes[0][ix], axes[1][iy], axes[2][iz]])
+        a_t, b_t, c_t = (np.take(v, t, axis=1) for v in (a, b, c))
+        d = point_triangle_distances(p.T, a_t.T, b_t.T, c_t.T) / voxel_size
+        np.minimum.at(flat, (ix * dims[1] + iy) * dims[2] + iz, np.minimum(d, trunc))
     return raw
 
 
 def mesh_to_tdf(mesh: TriMesh, dims, voxel_size: float, origin=(0.0, 0.0, 0.0),
                 trunc: float = 3.0) -> ScalarGrid3:
     """Unsigned normalized TDF of a mesh on the given grid."""
+    _check_finite(mesh, "mesh_to_tdf")
     if mesh.is_empty:
         raise ValueError("mesh_to_tdf: empty mesh")
     raw = _raw_distance_voxels(mesh, dims, voxel_size, origin, trunc)
@@ -394,6 +465,7 @@ def voxelize_mesh(mesh: TriMesh, dims, voxel_size: float,
     """
     dims = tuple(int(d) for d in dims)
     origin = np.asarray(origin, dtype=np.float64)
+    _check_finite(mesh, "voxelize_mesh")
     if mesh.is_empty:
         return ScalarGrid3(np.zeros(dims, dtype=np.float32), voxel_size, origin)
     if not mesh.is_watertight():

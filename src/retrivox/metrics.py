@@ -213,8 +213,14 @@ def pairwise_occupancy_iou(chunks: np.ndarray,
 def evaluate_meshes(pred: G.TriMesh, gt: G.TriMesh, voxel_size: float,
                     bounds, threshold: float, samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> MetricsReport:
-    """Full four-metric report for one predicted/target mesh pair."""
-    flags = {}
+    """Full four-metric report for one predicted/target mesh pair.
+
+    flags["pred_open_mesh"] / flags["gt_open_mesh"] mark a mesh that the
+    volumetric IoU voxelizes as a surface shell, not a solid, because it is
+    not closed.
+    """
+    flags = {f"{name}_open_mesh": True for name, mesh in (("pred", pred), ("gt", gt))
+             if not mesh.is_empty and not mesh.is_watertight()}
     if pred.is_empty or gt.is_empty:
         flags["empty_mesh"] = True
         iou = volumetric_iou(pred, gt, voxel_size, bounds)

@@ -537,17 +537,21 @@ def _training_pairs(cfg: ExperimentConfig, scenes: list[SceneRecord]):
     return RDB.select_training_pairs(np.stack(xs), np.stack(ys))
 
 
+# retrieved approximation bytes held at once by the cache_retrievals stage
+_CACHE_BATCH_BYTES = 64 << 20
+
+
 def _cache_file(cfg: ExperimentConfig, name: str) -> Path:
     return cfg.paths().cache / f"{name}.approx.rfdb"
 
 
-def _save_cache(path: Path, approxs: list[RDB.ApproxReconstruction]) -> None:
-    """Per-window retrieval cache as an RFDB mini-file of k window blocks."""
-    s = approxs[0].scene.dims[0]
-    db = RDB.ChunkDatabase(chunk_dim=s, embed_dim=1)
-    stack = np.stack([a.scene.values.reshape(-1) for a in approxs])
-    db.add_entries(stack, np.zeros((len(approxs), 1), dtype=np.float32),
-                   [f"rank{a.rank}" for a in approxs])
+def _save_cache(path: Path, values: np.ndarray) -> None:
+    """Per-window retrieval cache as an RFDB mini-file of k window blocks;
+    values is (k, S, S, S), rank r + 1 at index r."""
+    k = len(values)
+    db = RDB.ChunkDatabase(chunk_dim=values.shape[1], embed_dim=1)
+    db.add_entries(values.reshape(k, -1), np.zeros((k, 1), dtype=np.float32),
+                   [f"rank{r + 1}" for r in range(k)])
     path.parent.mkdir(parents=True, exist_ok=True)
     RDB.save_db(path, db)
 
@@ -610,10 +614,16 @@ def stage_cache_retrievals(cfg: ExperimentConfig) -> dict:
     scenes = load_scenes(cfg, "train")
     encoders = _load_encoders(cfg)
     db = _load_db(cfg, "base")
-    for rec in scenes:
-        approxs = RDB.assemble_approximations(db, encoders, input_grid(rec, cfg),
-                                              cfg.layout, cfg.hp.k)
-        _save_cache(_cache_file(cfg, rec.name), approxs)
+    # one retrieval call per batch of windows whose approximations fit
+    # _CACHE_BATCH_BYTES (every train window of the mini profile in one)
+    per_window = cfg.hp.k * cfg.layout.scene_dim ** 3 * np.float32().itemsize
+    step = max(1, _CACHE_BATCH_BYTES // per_window)
+    for i in range(0, len(scenes), step):
+        batch = scenes[i:i + step]
+        windows = np.stack([input_grid(rec, cfg).values for rec in batch])
+        approxs = RDB.retrieve_windows(db, encoders, windows, cfg.layout, cfg.hp.k)
+        for rec, values in zip(batch, approxs):
+            _save_cache(_cache_file(cfg, rec.name), values)
     return {"cached": len(scenes)}
 
 

@@ -4,7 +4,8 @@ Criteria 7-10 share one pipeline battery (procedural data, retrieval
 training, database, cached retrievals, four fusion trainings, evaluation,
 database extension) at the mini profile. Set RETRIVOX_ACCEPT_DIR to persist
 battery artifacts across runs (a cached summary is reused if present);
-RETRIVOX_DESK=1 switches the battery to the desk profile.
+RETRIVOX_DESK=1 switches the battery to the desk profile.  The battery's
+tests are marked `slow`.
 """
 
 import dataclasses
@@ -331,6 +332,7 @@ def battery(tmp_path_factory):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_7_retrieval_quality(battery):
     gap = battery["rank1_iou"] - battery["random_iou"]
     ok = battery["recall4"] >= 0.9 and gap >= 0.15
@@ -338,6 +340,7 @@ def test_criterion_7_retrieval_quality(battery):
                    f"rank-1 vs random assembly IoU gap {gap:.3f}>=0.15")
 
 
+@pytest.mark.slow
 def test_criterion_8_ablation_direction(battery):
     att, naive = battery["iou_attention_k4"], battery["iou_naive_k4"]
     unet = battery["iou_no_retrieval_k4"]
@@ -347,11 +350,13 @@ def test_criterion_8_ablation_direction(battery):
                    f"and >= naive {naive:.4f}; pipeline {hours:.2f}h <= 4h")
 
 
+@pytest.mark.slow
 def test_criterion_9_k_sweep_direction(battery):
     k4, k1 = battery["iou_attention_k4"], battery["iou_attention_k1"]
     verdict(9, k4 >= k1, f"test IoU at k=4 {k4:.4f} >= k=1 {k1:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_database_extension(battery):
     before, after = battery["holdout_before"], battery["holdout_after"]
     verdict(10, after >= before,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.slow
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
 

@@ -210,6 +210,36 @@ class TestMonotonicityAndDeterminism:
         assert abs(agg["iou"] - 0.3) < 1e-12
 
 
+class TestOpenMeshFlags:
+    def test_shell_fallback_flagged_per_mesh(self):
+        bounds = (np.zeros(3), np.ones(3))
+        closed = G.box_mesh((0.2, 0.2, 0.2), (0.6, 0.6, 0.6))
+        sheet = G.square_mesh((0.1, 0.1, 0.5), (0.8, 0, 0), (0, 0.8, 0))
+        rep = M.evaluate_meshes(closed, closed, 0.05, bounds, threshold=0.02, samples=2000)
+        assert rep.flags == {}
+        for pred, gt, flag in ((sheet, closed, "pred_open_mesh"), (closed, sheet, "gt_open_mesh")):
+            with pytest.warns(UserWarning, match="open mesh"):
+                rep = M.evaluate_meshes(pred, gt, 0.05, bounds, threshold=0.02, samples=2000)
+            assert rep.flags == {flag: True}
+            # the flag only reports: every value is what the metric gives alone
+            with pytest.warns(UserWarning):
+                assert rep.iou == M.volumetric_iou(pred, gt, 0.05, bounds)
+            assert rep.chamfer_l1 == M.chamfer_l1(pred, gt, 2000, 0)[0]
+            assert rep.f_score == M.f_score(pred, gt, 0.02, 2000, 0)[0]
+        with pytest.warns(UserWarning):
+            rep = M.evaluate_meshes(sheet, sheet, 0.05, bounds, threshold=0.02, samples=2000)
+        assert rep.flags == {"pred_open_mesh": True, "gt_open_mesh": True}
+        assert "flag.pred_open_mesh = True" in rep.to_text()
+
+    def test_empty_mesh_is_not_open(self):
+        bounds = (np.zeros(3), np.ones(3))
+        empty = G.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        sheet = G.square_mesh((0.1, 0.1, 0.5), (0.8, 0, 0), (0, 0.8, 0))
+        with pytest.warns(UserWarning):
+            rep = M.evaluate_meshes(empty, sheet, 0.05, bounds, threshold=0.02, samples=2000)
+        assert rep.flags == {"empty_mesh": True, "gt_open_mesh": True}
+
+
 class TestDistanceIndexExactness:
     def test_index_matches_bruteforce(self):
         rng = np.random.default_rng(17)

@@ -133,6 +133,35 @@ class TestStages:
         files = list(staged_run.paths().cache.glob("*.approx.rfdb"))
         assert len(files) == 6
 
+    def test_cache_is_one_retrieval_call_byte_identical(self, staged_run, monkeypatch, tmp_path):
+        """The stage writes the bytes of one assemble_approximations per
+        record, in one retrieve_windows call (or one per window when the
+        batch budget holds a single window)."""
+        from retrivox import retrievaldb as RDB
+        cfg = staged_run
+        enc, db = P._load_encoders(cfg), P._load_db(cfg, "base")
+        want = {}
+        for rec in P.load_scenes(cfg, "train"):
+            approxs = RDB.assemble_approximations(db, enc, P.input_grid(rec, cfg),
+                                                  cfg.layout, cfg.hp.k)
+            ref = RDB.ChunkDatabase(chunk_dim=cfg.layout.scene_dim, embed_dim=1)
+            ref.add_entries(np.stack([a.scene.values.ravel() for a in approxs]),
+                            np.zeros((len(approxs), 1), dtype=np.float32),
+                            [f"rank{a.rank}" for a in approxs])
+            RDB.save_db(tmp_path / rec.name, ref)
+            want[rec.name] = (tmp_path / rec.name).read_bytes()
+        calls = []
+        real = RDB.retrieve_windows
+        monkeypatch.setattr(RDB, "retrieve_windows",
+                            lambda *args: calls.append(len(args[2])) or real(*args))
+        for budget, sizes in ((P._CACHE_BATCH_BYTES, [6]), (1, [1] * 6)):
+            monkeypatch.setattr(P, "_CACHE_BATCH_BYTES", budget)
+            calls.clear()
+            P.run_stage(cfg, "cache_retrievals")
+            assert calls == sizes
+            for name, data in want.items():
+                assert P._cache_file(cfg, name).read_bytes() == data, name
+
     def test_refine_and_reconstruct_and_evaluate(self, staged_run):
         P.run_stage(staged_run, "train_refine")
         P.run_stage(staged_run, "reconstruct")
