@@ -6,6 +6,10 @@ point-to-triangle nearest distances; a centroid KD-tree only prunes the
 candidate triangles, every surviving candidate is evaluated exactly.  Both
 meshes are sampled with the same seed, which makes every metric exactly
 symmetric under argument swap.
+
+Chamfer-l1, normal consistency and F-score project one pass,
+`_surface_metrics`, that indexes, samples and queries each mesh once:
+`evaluate_meshes` makes two index builds and two queries for all three.
 """
 
 from __future__ import annotations
@@ -115,11 +119,24 @@ class MeshDistanceIndex:
         return best_d, best_f
 
 
-def _sampled_distances(src: G.TriMesh, dst_index: MeshDistanceIndex,
-                       samples: int, seed: int):
-    pts, faces = G.sample_surface_with_faces(src, samples, seed)
-    d, proj_faces = dst_index.query(pts)
-    return pts, faces, d, proj_faces
+def _surface_metrics(pred: G.TriMesh, gt: G.TriMesh, samples: int, seed: int,
+                     threshold: float = math.inf) -> dict:
+    """Every surface metric from one pass: each mesh sampled with seed and
+    matched once against the other's index; threshold feeds only F-score."""
+    ip, ig = MeshDistanceIndex(pred), MeshDistanceIndex(gt)
+    pts, f_pred = G.sample_surface_with_faces(pred, samples, seed)
+    d_pred, proj_g = ig.query(pts)
+    pts, f_gt = G.sample_surface_with_faces(gt, samples, seed)
+    d_gt, proj_p = ip.query(pts)
+    fwd = np.abs(np.einsum("ij,ij->i", pred.face_normals[f_pred], gt.face_normals[proj_g]))
+    bwd = np.abs(np.einsum("ij,ij->i", gt.face_normals[f_gt], pred.face_normals[proj_p]))
+    acc, comp = float(d_pred.mean()), float(d_gt.mean())
+    precision = float((d_pred <= threshold).mean())
+    recall = float((d_gt <= threshold).mean())
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return dict(chamfer_l1=0.5 * (acc + comp), accuracy=acc, completeness=comp,
+                normal_consistency=float(0.5 * fwd.mean() + 0.5 * bwd.mean()),
+                f_score=f1, precision=precision, recall=recall)
 
 
 def chamfer_l1(pred: G.TriMesh, gt: G.TriMesh, samples: int = DEFAULT_SAMPLES,
@@ -128,12 +145,8 @@ def chamfer_l1(pred: G.TriMesh, gt: G.TriMesh, samples: int = DEFAULT_SAMPLES,
     samples to the gt surface, completeness the reverse."""
     if pred.is_empty or gt.is_empty:
         return math.inf, math.inf, math.inf
-    ip, ig = MeshDistanceIndex(pred), MeshDistanceIndex(gt)
-    _, _, d_pred, _ = _sampled_distances(pred, ig, samples, seed)
-    _, _, d_gt, _ = _sampled_distances(gt, ip, samples, seed)
-    acc = float(d_pred.mean())
-    comp = float(d_gt.mean())
-    return 0.5 * (acc + comp), acc, comp
+    m = _surface_metrics(pred, gt, samples, seed)
+    return m["chamfer_l1"], m["accuracy"], m["completeness"]
 
 
 def normal_consistency(pred: G.TriMesh, gt: G.TriMesh, samples: int = DEFAULT_SAMPLES,
@@ -141,12 +154,7 @@ def normal_consistency(pred: G.TriMesh, gt: G.TriMesh, samples: int = DEFAULT_SA
     """Mean |n(p) . n(proj(p))| averaged over both directions, half each."""
     if pred.is_empty or gt.is_empty:
         raise ValueError("normal_consistency: empty mesh")
-    ip, ig = MeshDistanceIndex(pred), MeshDistanceIndex(gt)
-    _, f_pred, _, proj_g = _sampled_distances(pred, ig, samples, seed)
-    _, f_gt, _, proj_p = _sampled_distances(gt, ip, samples, seed)
-    fwd = np.abs(np.einsum("ij,ij->i", pred.face_normals[f_pred], gt.face_normals[proj_g]))
-    bwd = np.abs(np.einsum("ij,ij->i", gt.face_normals[f_gt], pred.face_normals[proj_p]))
-    return float(0.5 * fwd.mean() + 0.5 * bwd.mean())
+    return _surface_metrics(pred, gt, samples, seed)["normal_consistency"]
 
 
 def f_score(pred: G.TriMesh, gt: G.TriMesh, threshold: float,
@@ -156,14 +164,8 @@ def f_score(pred: G.TriMesh, gt: G.TriMesh, threshold: float,
         raise ValueError("threshold must be positive")
     if pred.is_empty or gt.is_empty:
         return 0.0, 0.0, 0.0
-    ip, ig = MeshDistanceIndex(pred), MeshDistanceIndex(gt)
-    _, _, d_pred, _ = _sampled_distances(pred, ig, samples, seed)
-    _, _, d_gt, _ = _sampled_distances(gt, ip, samples, seed)
-    precision = float((d_pred <= threshold).mean())
-    recall = float((d_gt <= threshold).mean())
-    if precision + recall == 0:
-        return 0.0, precision, recall
-    return 2 * precision * recall / (precision + recall), precision, recall
+    m = _surface_metrics(pred, gt, samples, seed, threshold)
+    return m["f_score"], m["precision"], m["recall"]
 
 
 def volumetric_iou(pred: G.TriMesh, gt: G.TriMesh, voxel_size: float,
@@ -219,22 +221,18 @@ def evaluate_meshes(pred: G.TriMesh, gt: G.TriMesh, voxel_size: float,
     volumetric IoU voxelizes as a surface shell, not a solid, because it is
     not closed.
     """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
     flags = {f"{name}_open_mesh": True for name, mesh in (("pred", pred), ("gt", gt))
              if not mesh.is_empty and not mesh.is_watertight()}
+    iou = volumetric_iou(pred, gt, voxel_size, bounds)
     if pred.is_empty or gt.is_empty:
         flags["empty_mesh"] = True
-        iou = volumetric_iou(pred, gt, voxel_size, bounds)
         return MetricsReport(iou=iou, chamfer_l1=math.inf, normal_consistency=0.0,
                              f_score=0.0, threshold=threshold, sample_count=samples,
                              flags=flags)
-    cd, acc, comp = chamfer_l1(pred, gt, samples, seed)
-    nc = normal_consistency(pred, gt, samples, seed)
-    f1, precision, recall = f_score(pred, gt, threshold, samples, seed)
-    iou = volumetric_iou(pred, gt, voxel_size, bounds)
-    return MetricsReport(iou=iou, chamfer_l1=cd, normal_consistency=nc, f_score=f1,
-                         threshold=threshold, sample_count=samples,
-                         precision=precision, recall=recall,
-                         accuracy=acc, completeness=comp, flags=flags)
+    return MetricsReport(iou=iou, threshold=threshold, sample_count=samples, flags=flags,
+                         **_surface_metrics(pred, gt, samples, seed, threshold))
 
 
 def aggregate_reports(reports: list[MetricsReport]) -> dict:

@@ -25,7 +25,7 @@ from . import metrics as M
 from . import retrievaldb as RDB
 from .grids import (ChunkLayout, HyperParams, ScalarGrid3, coarsen,
                     occupancy_fraction, occupancy_from_points, read_grid,
-                    unfold, write_grid)
+                    write_grid)
 
 STAGES = ("gen_data", "train_retrieval", "build_db", "cache_retrievals",
           "train_refine", "reconstruct", "evaluate", "extend_db")
@@ -62,8 +62,6 @@ class ExperimentConfig:
     sr_factor: int = 4
     voxel_size: float = 0.054
     # dataset
-    dataset_kind: str = "procedural"      # or obj_dir
-    obj_dir: str = ""
     n_train: int = 200
     n_test: int = 20
     n_holdout_test: int = 0
@@ -133,8 +131,8 @@ _CFG_SECTIONS = {
     "experiment": ("task", "mode", "seed", "sr_factor", "voxel_size"),
     "layout": (),
     "hyperparams": (),
-    "dataset": ("dataset_kind", "obj_dir", "n_train", "n_test", "n_holdout_test",
-                "n_extension", "holdout_category", "points_per_window", "max_furnishings"),
+    "dataset": ("n_train", "n_test", "n_holdout_test", "n_extension", "holdout_category",
+                "points_per_window", "max_furnishings"),
     "training": ("retrieval_iters", "refine_iters", "retrieval_lr", "refine_lr",
                  "feat_channels", "base_channels", "retr_base_channels"),
     "evaluation": ("eval_samples", "eval_split", "db_variant"),
@@ -238,7 +236,7 @@ class RunPaths:
 class SceneRecord:
     name: str
     categories: list[str]
-    mesh: G.TriMesh
+    mesh: G.TriMesh | None  # None once read back: stages read gt, never the mesh
     gt: ScalarGrid3
     input_coarse: ScalarGrid3
     input_points: ScalarGrid3
@@ -499,8 +497,7 @@ def load_scenes(cfg: ExperimentConfig, split: str) -> list[SceneRecord]:
         meta = json.loads(mp.read_text())
         name = meta["name"]
         out.append(SceneRecord(
-            name=name, categories=meta["categories"],
-            mesh=G.load_obj(d / f"{name}.obj"),
+            name=name, categories=meta["categories"], mesh=None,
             gt=read_grid(d / f"{name}.gt.rfg1"),
             input_coarse=read_grid(d / f"{name}.coarse.rfg1"),
             input_points=read_grid(d / f"{name}.points.rfg1")))
@@ -525,16 +522,12 @@ def _load_db(cfg: ExperimentConfig, variant: str | None = None) -> RDB.ChunkData
 
 
 def _training_pairs(cfg: ExperimentConfig, scenes: list[SceneRecord]):
-    """(input chunk, target chunk) arrays over all train windows, filtered."""
+    """(input chunk, target chunk) rows over all train windows, filtered."""
     f = cfg.input_factor
     in_layout = ChunkLayout(cfg.layout.scene_dim // f, cfg.layout.chunk_dim // f, 1)
-    xs, ys = [], []
-    for rec in scenes:
-        gt_chunks = RDB.unfold_values(rec.gt.values, cfg.layout)
-        in_chunks = RDB.unfold_values(input_grid(rec, cfg).values, in_layout)
-        xs.extend(c.ravel() for c in in_chunks)
-        ys.extend(c.ravel() for c in gt_chunks)
-    return RDB.select_training_pairs(np.stack(xs), np.stack(ys))
+    xs = RDB.unfold_values(np.stack([input_grid(rec, cfg).values for rec in scenes]), in_layout)
+    ys = RDB.unfold_values(np.stack([rec.gt.values for rec in scenes]), cfg.layout)
+    return RDB.select_training_pairs(xs.reshape(len(xs), -1), ys.reshape(len(ys), -1))
 
 
 # retrieved approximation bytes held at once by the cache_retrievals stage
@@ -723,11 +716,8 @@ def stage_extend_db(cfg: ExperimentConfig) -> dict:
     encoders = _load_encoders(cfg)
     db = _load_db(cfg, "base")
     before = len(db)
-    chunks = []
-    for rec in scenes:
-        chunks.extend(c.ravel() for c in RDB.unfold_values(rec.gt.values, cfg.layout))
-    RDB.extend(db, np.stack(chunks), encoders,
-               tag=f"extension-{cfg.holdout_category or 'extra'}")
+    chunks = RDB.unfold_values(np.stack([rec.gt.values for rec in scenes]), cfg.layout)
+    RDB.extend(db, chunks, encoders, tag=f"extension-{cfg.holdout_category or 'extra'}")
     out = cfg.paths().db_file("extended")
     out.parent.mkdir(parents=True, exist_ok=True)
     RDB.save_db(out, db)

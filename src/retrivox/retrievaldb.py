@@ -142,60 +142,55 @@ def knn(db: ChunkDatabase, query: np.ndarray, k: int) -> list[tuple[int, float]]
     return [(int(db.ids[r]), float(d)) for r, d in zip(rows[0], dists[0])]
 
 
+def _occupied(rows: np.ndarray, min_occupancy: float) -> np.ndarray:
+    """The one keep rule for chunk rows (m, c^3): a row enters when at least
+    min_occupancy of its voxels read occupied."""
+    return (rows < OCCUPANCY_TDF_THRESHOLD).mean(axis=1) >= min_occupancy
+
+
 def select_training_pairs(input_chunks: np.ndarray, target_chunks: np.ndarray,
-                          min_occupancy: float = 0.01,
-                          occ_threshold: float = OCCUPANCY_TDF_THRESHOLD
-                          ) -> tuple[np.ndarray, np.ndarray]:
+                          min_occupancy: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
     """Drop pairs whose target chunk is (near-)empty, keeping one canonical
     empty pair so empty regions still learn an empty retrieval."""
     targets = np.asarray(target_chunks, dtype=np.float32)
-    flat = targets.reshape(len(targets), -1)
-    occ = (flat < occ_threshold).mean(axis=1)
-    keep = occ >= min_occupancy
-    empties = np.nonzero(~keep)[0]
-    if len(empties):
-        keep[empties[0]] = True
+    keep = _occupied(targets.reshape(len(targets), -1), min_occupancy)
+    keep[np.flatnonzero(~keep)[:1]] = True  # the first dropped pair, if any, stays
     return np.asarray(input_chunks, dtype=np.float32)[keep], targets[keep]
 
 
 def build(encoders: ChunkEncoderPair, scenes: list[ScalarGrid3], layout: ChunkLayout,
-          scene_tags: list[str] | None = None, min_occupancy: float = 0.01,
-          occ_threshold: float = OCCUPANCY_TDF_THRESHOLD) -> ChunkDatabase:
-    """Embed every retained target chunk of the train windows into a database.
-
-    With min_occupancy > 0, (near-)empty chunks are dropped and one synthetic
-    canonical empty chunk is kept so empty queries retrieve emptiness;
-    min_occupancy = 0 stores every chunk unfiltered.
-    """
+          scene_tags: list[str] | None = None, min_occupancy: float = 0.01) -> ChunkDatabase:
+    """Embed the train windows' target chunks that `_occupied` keeps: one
+    stacked unfold, window-major rows, each tagged with its window's tag.
+    With min_occupancy > 0 a canonical empty chunk is row 0, so empty queries
+    retrieve emptiness."""
     if not scenes:
         raise ValueError("no scenes to build a database from")
     if scene_tags is None:
         scene_tags = [f"scene{num}" for num in range(len(scenes))]
+    if len(scene_tags) != len(scenes):
+        raise ValueError(f"{len(scene_tags)} tags for {len(scenes)} scenes")
     c = layout.chunk_dim
-    all_chunks, all_tags = [], []
+    rows = unfold_values(np.stack([s.values for s in scenes]), layout).reshape(-1, c ** 3)
+    keep = _occupied(rows, min_occupancy)
+    rows = rows[keep].astype(np.float32, copy=False)
+    tags = np.repeat(np.asarray(scene_tags, dtype=object), layout.n ** 3)[keep].tolist()
     if min_occupancy > 0:
-        all_chunks.append(np.ones(c ** 3, dtype=np.float32))
-        all_tags.append(EMPTY_CHUNK_TAG)
-    for scene, tag in zip(scenes, scene_tags):
-        for chunk in unfold_values(scene.values, layout):
-            if min_occupancy > 0:
-                if (chunk < occ_threshold).mean() < min_occupancy:
-                    continue
-            all_chunks.append(chunk.ravel().astype(np.float32))
-            all_tags.append(tag)
-    stack = np.stack(all_chunks)
+        rows = np.concatenate([np.ones((1, c ** 3), dtype=np.float32), rows])
+        tags.insert(0, EMPTY_CHUNK_TAG)
     db = ChunkDatabase(chunk_dim=c, embed_dim=encoders.embed_dim)
-    db.add_entries(stack, encoders.encode_targets(stack), all_tags)
+    db.add_entries(rows, encoders.encode_targets(rows), tags)
     db.build_index()
     return db
 
 
-def unfold_values(values: np.ndarray, layout: ChunkLayout) -> list[np.ndarray]:
-    """Raw n^3 chunk arrays of one window, lexicographic (i, j, k)."""
-    d = layout.scene_dim
-    if values.shape != (d, d, d):
-        raise ValueError(f"window shape {values.shape} != {(d,) * 3}")
-    return list(to_blocks(values, layout.chunk_dim))
+def unfold_values(values: np.ndarray, layout: ChunkLayout) -> np.ndarray:
+    """Raw chunks (m, c, c, c) of one window (d, d, d) or a stack of windows
+    (..., d, d, d): window-major, lexicographic (i, j, k) within a window."""
+    d, c = layout.scene_dim, layout.chunk_dim
+    if values.shape[-3:] != (d, d, d):
+        raise ValueError(f"window shape {values.shape} != (..., {d}, {d}, {d})")
+    return to_blocks(values, c).reshape(-1, c, c, c)
 
 
 def retrieve_windows(db: ChunkDatabase, encoders: ChunkEncoderPair,
@@ -227,15 +222,17 @@ def assemble_approximations(db: ChunkDatabase, encoders: ChunkEncoderPair,
 
 
 def extend(db: ChunkDatabase, new_chunks: np.ndarray, encoders: ChunkEncoderPair,
-           tag: str = "extension", min_occupancy: float = 0.01,
-           occ_threshold: float = OCCUPANCY_TDF_THRESHOLD) -> ChunkDatabase:
-    """Append chunks embedded with the frozen target encoder; ids stay stable."""
-    new_chunks = np.asarray(new_chunks, dtype=np.float32).reshape(-1, db.chunk_dim ** 3)
-    if new_chunks.shape[1] != db.chunk_dim ** 3:
-        raise ValueError("extension chunk dims do not match the database")
-    if min_occupancy > 0 and len(new_chunks):
-        occ = (new_chunks < occ_threshold).mean(axis=1)
-        new_chunks = new_chunks[occ >= min_occupancy]
+           tag: str = "extension", min_occupancy: float = 0.01) -> ChunkDatabase:
+    """Append the chunks (..., c^3) or (..., c, c, c) kept under the one rule
+    of `_occupied` (min_occupancy = 0 keeps all), embedded with the frozen
+    target encoder; ids stay stable."""
+    new_chunks = np.asarray(new_chunks, dtype=np.float32)
+    c = db.chunk_dim
+    if new_chunks.shape[-1:] != (c ** 3,) and new_chunks.shape[-3:] != (c, c, c):
+        raise ValueError(f"extension chunks of shape {new_chunks.shape} end in neither "
+                         f"{(c ** 3,)} nor {(c, c, c)}")
+    new_chunks = new_chunks.reshape(-1, c ** 3)
+    new_chunks = new_chunks[_occupied(new_chunks, min_occupancy)]
     if len(new_chunks):
         db.add_entries(new_chunks, encoders.encode_targets(new_chunks),
                        [tag] * len(new_chunks))

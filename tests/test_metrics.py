@@ -102,6 +102,8 @@ class TestFScore:
         a = G.box_mesh((0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
             M.f_score(a, a, threshold=0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            M.evaluate_meshes(a, a, 0.5, (np.zeros(3), np.ones(3)), threshold=0.0)
 
 
 class TestVolumetricIoU:
@@ -210,6 +212,13 @@ class TestMonotonicityAndDeterminism:
         assert abs(agg["iou"] - 0.3) < 1e-12
 
 
+def assert_projections_of_one_pass(rep, pred, gt):
+    """evaluate_meshes' single pass gives what each surface metric gives alone."""
+    assert (rep.chamfer_l1, rep.accuracy, rep.completeness) == M.chamfer_l1(pred, gt, 2000, 0)
+    assert rep.normal_consistency == M.normal_consistency(pred, gt, 2000, 0)
+    assert (rep.f_score, rep.precision, rep.recall) == M.f_score(pred, gt, 0.02, 2000, 0)
+
+
 class TestOpenMeshFlags:
     def test_shell_fallback_flagged_per_mesh(self):
         bounds = (np.zeros(3), np.ones(3))
@@ -217,6 +226,13 @@ class TestOpenMeshFlags:
         sheet = G.square_mesh((0.1, 0.1, 0.5), (0.8, 0, 0), (0, 0.8, 0))
         rep = M.evaluate_meshes(closed, closed, 0.05, bounds, threshold=0.02, samples=2000)
         assert rep.flags == {}
+        ball = G.uv_sphere_mesh((0.5, 0.5, 0.5), 0.3, n_theta=10, n_phi=14)
+        rep = M.evaluate_meshes(ball, closed, 0.05, bounds, threshold=0.02, samples=2000)
+        assert rep.flags == {}
+        assert_projections_of_one_pass(rep, ball, closed)
+        # accuracy runs from pred samples to the gt surface, not the reverse
+        pts, _ = G.sample_surface_with_faces(ball, 2000, 0)
+        assert rep.accuracy == float(M.MeshDistanceIndex(closed).query(pts)[0].mean())
         for pred, gt, flag in ((sheet, closed, "pred_open_mesh"), (closed, sheet, "gt_open_mesh")):
             with pytest.warns(UserWarning, match="open mesh"):
                 rep = M.evaluate_meshes(pred, gt, 0.05, bounds, threshold=0.02, samples=2000)
@@ -224,8 +240,7 @@ class TestOpenMeshFlags:
             # the flag only reports: every value is what the metric gives alone
             with pytest.warns(UserWarning):
                 assert rep.iou == M.volumetric_iou(pred, gt, 0.05, bounds)
-            assert rep.chamfer_l1 == M.chamfer_l1(pred, gt, 2000, 0)[0]
-            assert rep.f_score == M.f_score(pred, gt, 0.02, 2000, 0)[0]
+            assert_projections_of_one_pass(rep, pred, gt)
         with pytest.warns(UserWarning):
             rep = M.evaluate_meshes(sheet, sheet, 0.05, bounds, threshold=0.02, samples=2000)
         assert rep.flags == {"pred_open_mesh": True, "gt_open_mesh": True}

@@ -6,7 +6,10 @@ import pytest
 
 from retrivox import cli
 from retrivox import pipeline as P
-from retrivox.grids import ScalarGrid3, occupancy_fraction, read_grid, write_grid
+from retrivox import retrievaldb as RDB
+from retrivox.grids import (OCCUPANCY_TDF_THRESHOLD, ChunkLayout, ScalarGrid3,
+                            occupancy_fraction, read_grid, write_grid)
+from tests.test_retrievaldb import loop_build, window_chunks
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -40,6 +43,21 @@ class TestConfig:
         assert back.retrieval_lr == 2e-3
         assert back.layout == cfg.layout
         assert back.hp == cfg.hp
+
+    def test_old_file_with_dropped_keys_loads(self, tmp_path):
+        """Files written before dataset_kind and obj_dir were removed still
+        load: load_config reads only the keys it knows."""
+        cfg = P.mini_config(out_dir="x/y", n_train=13, holdout_category="sphere")
+        path = tmp_path / "c.cfg"
+        P.save_config(cfg, path)
+        text = path.read_text().replace("[dataset]\n", "[dataset]\ndataset_kind = obj_dir\n"
+                                        "obj_dir = /some/meshes\n")
+        path.write_text(text)
+        back = P.load_config(path)
+        assert back == cfg
+        P.save_config(back, path)
+        assert "dataset_kind" not in path.read_text() and "obj_dir" not in path.read_text()
+        assert P.load_config(path) == cfg
 
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -198,6 +216,48 @@ class TestStages:
         assert agg["chamfer_l1"] < 1e-6
         assert agg["f_score"] == 1.0
         assert agg["normal_consistency"] >= 0.999
+
+
+def loop_training_pairs(cfg, scenes):
+    """Reference: the per-window loop that one stacked unfold replaced."""
+    f = cfg.input_factor
+    in_layout = ChunkLayout(cfg.layout.scene_dim // f, cfg.layout.chunk_dim // f, 1)
+    xs, ys = [], []
+    for rec in scenes:
+        xs.extend(c.ravel() for c in window_chunks(P.input_grid(rec, cfg).values, in_layout))
+        ys.extend(c.ravel() for c in window_chunks(rec.gt.values, cfg.layout))
+    return RDB.select_training_pairs(np.stack(xs), np.stack(ys))
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("task", ["super_resolution", "surface_reconstruction"])
+    def test_training_pairs_equal_per_window_loop(self, tmp_path, task):
+        cfg = tiny_cfg(tmp_path, task=task)
+        scenes = [P.generate_scene(cfg, "train", i) for i in range(3)]
+        got, want = P._training_pairs(cfg, scenes), loop_training_pairs(cfg, scenes)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32
+            np.testing.assert_array_equal(g, w)
+        assert len(got[0]) < 3 * 64  # the keep rule dropped some pairs
+
+    def test_build_and_extend_db_bytes_equal_per_chunk_loop(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, n_train=3, n_test=1, n_extension=2,
+                       holdout_category="sphere", retrieval_iters=10)
+        for stage in ("gen_data", "train_retrieval", "build_db", "extend_db"):
+            P.run_stage(cfg, stage)
+        enc = P._load_encoders(cfg)
+        train = P.load_scenes(cfg, "train")
+        db = loop_build(enc, [r.gt for r in train], cfg.layout,
+                        scene_tags=[r.name for r in train])
+        RDB.save_db(tmp_path / "base.rfdb", db)
+        assert (tmp_path / "base.rfdb").read_bytes() == cfg.paths().db_file("base").read_bytes()
+        rows = [c.ravel() for rec in P.load_scenes(cfg, "extension")
+                for c in window_chunks(rec.gt.values, cfg.layout)]
+        rows = np.stack([r for r in rows if (r < OCCUPANCY_TDF_THRESHOLD).mean() >= 0.01])
+        db.add_entries(rows, enc.encode_targets(rows), ["extension-sphere"] * len(rows))
+        RDB.save_db(tmp_path / "extended.rfdb", db)
+        assert ((tmp_path / "extended.rfdb").read_bytes()
+                == cfg.paths().db_file("extended").read_bytes())
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from retrivox import embed as E
 from retrivox import retrievaldb as R
-from retrivox.grids import (ChunkLayout, HyperParams, ScalarGrid3, fold, from_blocks,
-                            to_blocks, unfold)
+from retrivox.grids import (OCCUPANCY_TDF_THRESHOLD, ChunkLayout, HyperParams, ScalarGrid3,
+                            fold, from_blocks, to_blocks, unfold)
 from tests.test_embed import make_toy_prototypes
 
 HP = HyperParams(batch_retrieval=8)
@@ -115,6 +117,103 @@ class TestKnn:
             R.knn(db, db.embeddings[0], 0)
         with pytest.raises(ValueError):
             R.knn(db, np.zeros(32, np.float32), 3)
+
+
+def window_chunks(values, layout):
+    """Reference unfold: per-chunk slices of one window, lexicographic (i, j, k)."""
+    c = layout.chunk_dim
+    return [values[i * c:(i + 1) * c, j * c:(j + 1) * c, k * c:(k + 1) * c]
+            for i, j, k in itertools.product(range(layout.n), repeat=3)]
+
+
+def loop_build(encoders, scenes, layout, scene_tags=None, min_occupancy=0.01):
+    """Reference build: the per-chunk loop that one stacked unfold and one
+    keep mask replaced."""
+    if scene_tags is None:
+        scene_tags = [f"scene{num}" for num in range(len(scenes))]
+    c = layout.chunk_dim
+    all_chunks, all_tags = [], []
+    if min_occupancy > 0:
+        all_chunks.append(np.ones(c ** 3, dtype=np.float32))
+        all_tags.append(R.EMPTY_CHUNK_TAG)
+    for scene, tag in zip(scenes, scene_tags):
+        for chunk in window_chunks(scene.values, layout):
+            if min_occupancy > 0:
+                if (chunk < OCCUPANCY_TDF_THRESHOLD).mean() < min_occupancy:
+                    continue
+            all_chunks.append(chunk.ravel().astype(np.float32))
+            all_tags.append(tag)
+    stack = np.stack(all_chunks)
+    db = R.ChunkDatabase(chunk_dim=c, embed_dim=encoders.embed_dim)
+    db.add_entries(stack, encoders.encode_targets(stack), all_tags)
+    db.build_index()
+    return db
+
+
+def assert_same_db(got, want):
+    np.testing.assert_array_equal(got.ids, want.ids)
+    assert got.tags == want.tags
+    np.testing.assert_array_equal(got.chunks, want.chunks)
+    np.testing.assert_array_equal(got.embeddings, want.embeddings)
+    assert got.chunks.dtype == want.chunks.dtype == np.float32
+
+
+def straddling_scenes(rng):
+    """Three MINI windows whose chunks straddle the keep rule at 1%: empty,
+    5 or 6 of 512 voxels occupied, or dense.  The last window is float64,
+    with voxels a hair either side of the occupancy threshold that the
+    float32 cast would round onto it."""
+    scenes = []
+    for w in range(3):
+        v = np.ones((32, 32, 32), dtype=np.float32 if w < 2 else np.float64)
+        for chunk in window_chunks(v, MINI):
+            count = rng.choice([0, 5, 6, 40, 512])
+            at = np.unravel_index(rng.choice(512, size=count, replace=False), chunk.shape)
+            chunk[at] = rng.random(count) * 0.3  # chunk is a view of v
+        if w == 2:
+            v[::3, ::2, ::5] = OCCUPANCY_TDF_THRESHOLD + rng.choice([-1e-12, 1e-12],
+                                                                    size=v[::3, ::2, ::5].shape)
+        scenes.append(ScalarGrid3(v, 1.0))
+    return scenes
+
+
+class TestArrayPath:
+    PAIR = E.ChunkEncoderPair.create(4, 8, HP, seed=0)
+
+    @pytest.mark.parametrize("min_occupancy", [0.0, 0.01])
+    def test_build_equals_per_chunk_loop(self, min_occupancy):
+        scenes = straddling_scenes(np.random.default_rng(20))
+        tags = ["scene-a", "scene-b", "scene-c"]
+        got = R.build(self.PAIR, scenes, MINI, scene_tags=tags, min_occupancy=min_occupancy)
+        want = loop_build(self.PAIR, scenes, MINI, scene_tags=tags,
+                          min_occupancy=min_occupancy)
+        assert_same_db(got, want)
+        # the mix really straddles the rule: some chunks kept, some dropped
+        assert (len(got) == 3 * 64) == (min_occupancy == 0.0)
+        assert set(got.tags) >= set(tags)
+
+    def test_unfold_values_stack_equals_per_window(self):
+        rng = np.random.default_rng(21)
+        stack = rng.random((2, 3, 32, 32, 32)).astype(np.float32)
+        got = R.unfold_values(stack, MINI)
+        assert got.shape == (6 * 64, 8, 8, 8)
+        windows = stack.reshape(6, 32, 32, 32)
+        want = np.concatenate([R.unfold_values(w, MINI) for w in windows])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, np.stack([c for w in windows
+                                                     for c in window_chunks(w, MINI)]))
+
+    def test_wrong_scene_shape_raises(self):
+        good = ScalarGrid3(np.ones((32, 32, 32), np.float32), 1.0)
+        for bad in (np.ones((16, 16, 16), np.float32), np.ones((32, 32, 16), np.float32)):
+            with pytest.raises(ValueError, match="window shape"):
+                R.unfold_values(bad, MINI)
+            with pytest.raises(ValueError):
+                R.build(self.PAIR, [good, ScalarGrid3(bad, 1.0)], MINI)
+            with pytest.raises(ValueError, match="window shape"):
+                R.build(self.PAIR, [ScalarGrid3(bad, 1.0)], MINI)
+        with pytest.raises(ValueError, match="2 tags for 1 scenes"):
+            R.build(self.PAIR, [good], MINI, scene_tags=["a", "b"])
 
 
 class TestBuildAndAssemble:
@@ -335,6 +434,10 @@ class TestExtend:
         pair = E.ChunkEncoderPair.create(4, 8, HP, seed=0)
         with pytest.raises(ValueError):
             R.extend(db, np.zeros((2, 27), dtype=np.float32), pair)
+        # 64 rows of 27 values hold 27 * 64 floats, 27 chunks' worth
+        with pytest.raises(ValueError, match=r"\(64, 27\).*\(64,\).*\(4, 4, 4\)"):
+            R.extend(db, np.zeros((64, 27), dtype=np.float32), pair)
+        assert len(db) == 4 and db.version == 0
 
 
 class TestSelectTrainingPairs:
