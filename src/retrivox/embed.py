@@ -71,22 +71,29 @@ def ntxent_loss(x_embeds: T.Tensor, y_embeds: T.Tensor, y_chunks: np.ndarray | N
     return T.mul(T.tsum(T.sub(lse, pos)), 1.0 / n)
 
 
+ENCODER_BASE_CHANNELS, ENCODER_MAX_CHANNELS = 16, 64
+
+
 class ChunkEncoder:
-    """Stride-2 conv stack shrinking the side to 1, dense head, unit norm."""
+    """Stride-2 conv stack shrinking the side to 1, dense head, unit norm.
+
+    The first conv has ENCODER_BASE_CHANNELS outputs; each later one doubles
+    them, up to ENCODER_MAX_CHANNELS.
+    """
 
     def __init__(self, store: T.ParamStore, prefix: str, in_dim: int, embed_dim: int,
-                 rng: np.random.Generator, base_channels: int = 16, max_channels: int = 64):
+                 rng: np.random.Generator):
         if in_dim < 2 or in_dim & (in_dim - 1):
             raise ValueError(f"encoder input side must be a power of two >= 2, got {in_dim}")
         self.in_dim = in_dim
         self.convs = []
-        side, c_in, c_out = in_dim, 1, base_channels
+        side, c_in, c_out = in_dim, 1, ENCODER_BASE_CHANNELS
         i = 0
         while side > 1:
             self.convs.append(Conv3(store, f"{prefix}.conv{i}", c_in, c_out,
                                     k=3, stride=2, pad=1, rng=rng))
             side //= 2
-            c_in, c_out = c_out, min(c_out * 2, max_channels)
+            c_in, c_out = c_out, min(c_out * 2, ENCODER_MAX_CHANNELS)
             i += 1
         self.head = Dense(store, f"{prefix}.head", c_in, embed_dim, rng=rng)
 

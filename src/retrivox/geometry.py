@@ -29,6 +29,8 @@ from ._mc_tables import CORNER_OFFSETS, EDGE_TABLE, TRI_TABLE
 from .grids import OCCUPANCY_TDF_THRESHOLD, ScalarGrid3, normalize_tdf
 
 DEGENERATE_AREA = 1e-12
+# c * eps of point_triangle_distances' relative degeneracy test (c = 1024)
+_SLIVER_EPS = 1024.0 * np.finfo(np.float64).eps
 
 
 class TriMesh:
@@ -116,6 +118,15 @@ def euler_characteristic(mesh: TriMesh) -> int:
 # point-triangle distance (vectorized over pairs)
 # ---------------------------------------------------------------------------
 
+def _segment_distances(p, s, e) -> np.ndarray:
+    """Distance from points p to segments [s, e]; all (3, M), lengths >= 0."""
+    d = e - s
+    length2 = (d * d).sum(axis=0)
+    t = np.clip(((p - s) * d).sum(axis=0) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    r = p - (s + t * d)
+    return np.sqrt((r * r).sum(axis=0))
+
+
 def point_triangle_distances(p, a, b, c) -> np.ndarray:
     """Distance from p[i] to triangle (a[i], b[i], c[i]); all arrays (M, 3).
 
@@ -123,6 +134,13 @@ def point_triangle_distances(p, a, b, c) -> np.ndarray:
     5.1.5) on x/y/z columns.  Each pair's region is picked in the priority
     order of the sequential formulation (vertex A, B, C, then edge AB, AC,
     BC, then the face), and only that region's formula runs on its pairs.
+
+    The face formula divides by |ab x ac|^2, which rounding swamps on a
+    nearly collinear triangle.  A face-region pair whose triangle has
+    |ab x ac|^2 <= c * eps * |ab|^2 * |ac|^2, with c = 1024 and eps the
+    float64 machine epsilon (so sin^2 of the angle at a is at most about
+    2.3e-13), gets the distance to the nearest of its three edges instead:
+    such a triangle is at most 4.8e-7 of its longest edge wide.
     """
     (px, py, pz), (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (
         np.asarray(v, dtype=np.float64).reshape(-1, 3).T for v in (p, a, b, c))
@@ -178,11 +196,22 @@ def point_triangle_distances(p, a, b, c) -> np.ndarray:
     put(m, px[m] - (bx[m] + (cx[m] - bx[m]) * t), py[m] - (by[m] + (cy[m] - by[m]) * t),
         pz[m] - (bz[m] + (cz[m] - bz[m]) * t))
     m = pairs[0]
+    (ux, uy, uz), (wx, wy, wz) = (abx[m], aby[m], abz[m]), (acx[m], acy[m], acz[m])
     denom = va[m] + vb[m] + vc[m]
     denom[denom == 0.0] = 1.0
     v, w = vb[m] / denom, vc[m] / denom
-    put(m, px[m] - (ax[m] + abx[m] * v + acx[m] * w), py[m] - (ay[m] + aby[m] * v + acy[m] * w),
-        pz[m] - (az[m] + abz[m] * v + acz[m] * w))
+    put(m, px[m] - (ax[m] + ux * v + wx * w), py[m] - (ay[m] + uy * v + wy * w),
+        pz[m] - (az[m] + uz * v + wz * w))
+    # nearly collinear: the nearest of the three edges
+    nx, ny, nz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+    thin = m[nx * nx + ny * ny + nz * nz
+             <= _SLIVER_EPS * (ux * ux + uy * uy + uz * uz) * (wx * wx + wy * wy + wz * wz)]
+    if thin.size:
+        q, qa, qb, qc = (np.stack([x[thin], y[thin], z[thin]]) for x, y, z in
+                         ((px, py, pz), (ax, ay, az), (bx, by, bz), (cx, cy, cz)))
+        out[thin] = np.minimum.reduce([_segment_distances(q, qa, qb),
+                                       _segment_distances(q, qb, qc),
+                                       _segment_distances(q, qc, qa)])
     return out
 
 
@@ -288,11 +317,10 @@ def mesh_to_tdf(mesh: TriMesh, dims, voxel_size: float, origin=(0.0, 0.0, 0.0),
 # marching cubes
 # ---------------------------------------------------------------------------
 
-def flood_fill_outside(tdf_values: np.ndarray,
-                       threshold: float = OCCUPANCY_TDF_THRESHOLD) -> np.ndarray:
+def flood_fill_outside(tdf_values: np.ndarray) -> np.ndarray:
     """Exterior mask: 6-connected region of traversable voxels touching the
-    grid boundary.  Voxels with TDF below threshold (near-surface) block the
-    fill; everything unreached counts as interior.
+    grid boundary.  Voxels with TDF below OCCUPANCY_TDF_THRESHOLD
+    (near-surface) block the fill; everything unreached counts as interior.
 
     The label is then propagated into the near-surface shell, but never
     across the surface: two adjacent voxels straddling it have distances
@@ -301,7 +329,7 @@ def flood_fill_outside(tdf_values: np.ndarray,
     signature (with margin for curvature).  The zero crossing of the
     resulting signed field then lands on the true surface.
     """
-    trav = tdf_values >= threshold
+    trav = tdf_values >= OCCUPANCY_TDF_THRESHOLD
     labels, _ = ndimage.label(trav, structure=ndimage.generate_binary_structure(3, 1))
     border = np.unique(np.concatenate([
         labels[0, :, :].ravel(), labels[-1, :, :].ravel(),
@@ -310,8 +338,8 @@ def flood_fill_outside(tdf_values: np.ndarray,
     border = border[border != 0]
     outside = np.isin(labels, border)
 
-    # one voxel of raw distance in normalized units equals `threshold`
-    straddle_sum = threshold * 1.25
+    # one voxel of raw distance in normalized units equals the threshold
+    straddle_sum = OCCUPANCY_TDF_THRESHOLD * 1.25
     shifts = [(axis, step) for axis in range(3) for step in (1, -1)]
     while True:
         grew = False
@@ -330,9 +358,9 @@ def flood_fill_outside(tdf_values: np.ndarray,
             return outside
 
 
-def sign_tdf(grid: ScalarGrid3, threshold: float = OCCUPANCY_TDF_THRESHOLD) -> np.ndarray:
+def sign_tdf(grid: ScalarGrid3) -> np.ndarray:
     """Signed field from an unsigned TDF: +tdf outside, -tdf inside/near-surface."""
-    outside = flood_fill_outside(grid.values, threshold)
+    outside = flood_fill_outside(grid.values)
     v = grid.values.astype(np.float64)
     return np.where(outside, v, -v)
 
@@ -415,11 +443,9 @@ def marching_cubes_field(field: np.ndarray, iso: float, voxel_size: float = 1.0,
     return TriMesh(vertices, faces)
 
 
-def marching_cubes(tdf: ScalarGrid3, iso: float = 0.0,
-                   shell_threshold: float = OCCUPANCY_TDF_THRESHOLD) -> TriMesh:
+def marching_cubes(tdf: ScalarGrid3) -> TriMesh:
     """Mesh an unsigned TDF: flood-fill signing, then marching cubes at iso 0."""
-    signed = sign_tdf(tdf, shell_threshold)
-    return marching_cubes_field(signed, iso, tdf.voxel_size, tdf.origin)
+    return marching_cubes_field(sign_tdf(tdf), 0.0, tdf.voxel_size, tdf.origin)
 
 
 # ---------------------------------------------------------------------------

@@ -53,21 +53,13 @@ class ScalarGrid3:
         return self.values.shape
 
     @classmethod
-    def full(cls, dims, value: float, voxel_size: float = 1.0, origin=(0.0, 0.0, 0.0),
-             dtype=np.float32) -> "ScalarGrid3":
-        return cls(np.full(tuple(dims), value, dtype=dtype), voxel_size, np.asarray(origin))
+    def full(cls, dims, value: float) -> "ScalarGrid3":
+        """Constant float32 grid of unit voxels at the world origin."""
+        return cls(np.full(tuple(dims), value, dtype=np.float32), 1.0)
 
     def with_values(self, values: np.ndarray) -> "ScalarGrid3":
         """Same placement, new payload."""
         return replace(self, values=values)
-
-    def voxel_centers(self) -> np.ndarray:
-        """World coordinates of all voxel centers, shape (nx, ny, nz, 3)."""
-        nx, ny, nz = self.dims
-        ax = [self.origin[a] + (np.arange(d) + 0.5) * self.voxel_size
-              for a, d in ((0, nx), (1, ny), (2, nz))]
-        gx, gy, gz = np.meshgrid(*ax, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -101,20 +93,6 @@ class ChunkLayout:
 
 # Fast test profile; the default matches the 64/16/4 operating levels.
 MINI_LAYOUT = ChunkLayout(scene_dim=32, chunk_dim=8, patch_dim=4)
-
-
-@dataclass(frozen=True)
-class ChunkCoord:
-    """Position of one chunk: window id plus the (i, j, k) cell inside it."""
-
-    window_id: int
-    cell: tuple[int, int, int]
-
-    def flat_index(self, n: int) -> int:
-        i, j, k = self.cell
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"cell {self.cell} out of range for n={n}")
-        return (i * n + j) * n + k
 
 
 @dataclass
@@ -233,11 +211,11 @@ def fold(chunks: list[ScalarGrid3], layout: ChunkLayout) -> ScalarGrid3:
 PAD_TDF_VALUE = 1.0  # empty space at full truncation
 
 
-def windows(scene: ScalarGrid3, layout: ChunkLayout, stride: int | None = None,
-            pad_value: float = PAD_TDF_VALUE) -> list[tuple[tuple[int, int, int], ScalarGrid3]]:
+def windows(scene: ScalarGrid3, layout: ChunkLayout,
+            stride: int | None = None) -> list[tuple[tuple[int, int, int], ScalarGrid3]]:
     """Decompose a scene into window-sized blocks at the given voxel stride.
 
-    The scene is padded with `pad_value` so windows tile it exactly; at
+    The scene is padded with PAD_TDF_VALUE so windows tile it exactly; at
     stride == scene_dim the cover is non-overlapping.  Returns
     (voxel_offset, window) pairs; offsets index the padded scene and feed
     reassemble_windows.
@@ -250,7 +228,7 @@ def windows(scene: ScalarGrid3, layout: ChunkLayout, stride: int | None = None,
     # smallest count with (count-1)*stride + w >= d
     counts = [-(-(d - w) // stride) + 1 if d > w else 1 for d in scene.dims]
     padded_dims = tuple((cnt - 1) * stride + w for cnt in counts)
-    padded = np.full(padded_dims, pad_value, dtype=scene.values.dtype)
+    padded = np.full(padded_dims, PAD_TDF_VALUE, dtype=scene.values.dtype)
     padded[:scene.dims[0], :scene.dims[1], :scene.dims[2]] = scene.values
     out = []
     for ci in range(counts[0]):
@@ -283,24 +261,23 @@ def reassemble_windows(pairs: list[tuple[tuple[int, int, int], ScalarGrid3]],
     return ScalarGrid3(np.ascontiguousarray(buf[:dims[0], :dims[1], :dims[2]]), voxel_size, origin)
 
 
-def occupancy_from_points(points: np.ndarray, dims, voxel_size: float,
-                          origin=(0.0, 0.0, 0.0)) -> tuple[ScalarGrid3, int]:
-    """Binary occupancy grid: a voxel is 1 iff at least one point lands in it.
+def occupancy_from_points(points: np.ndarray, dims, voxel_size: float) -> tuple[ScalarGrid3, int]:
+    """Binary occupancy grid at the world origin: a voxel is 1 iff at least
+    one point lands in it.
 
     Points outside the grid bounds are dropped; their count is returned
     alongside the grid.
     """
     dims = tuple(int(d) for d in dims)
-    origin = np.asarray(origin, dtype=np.float64)
     grid = np.zeros(dims, dtype=np.float32)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
-        return ScalarGrid3(grid, voxel_size, origin), 0
-    idx = np.floor((points - origin) / voxel_size).astype(np.int64)
+        return ScalarGrid3(grid, voxel_size), 0
+    idx = np.floor(points / voxel_size).astype(np.int64)
     inside = np.all((idx >= 0) & (idx < np.asarray(dims)), axis=1)
     kept = idx[inside]
     grid[kept[:, 0], kept[:, 1], kept[:, 2]] = 1.0
-    return ScalarGrid3(grid, voxel_size, origin), int(len(points) - inside.sum())
+    return ScalarGrid3(grid, voxel_size), int(len(points) - inside.sum())
 
 
 def coarsen(scene: ScalarGrid3, factor: int) -> ScalarGrid3:
@@ -317,9 +294,9 @@ def coarsen(scene: ScalarGrid3, factor: int) -> ScalarGrid3:
     return ScalarGrid3(pooled, scene.voxel_size * factor, scene.origin)
 
 
-def occupancy_fraction(grid: ScalarGrid3, threshold: float = OCCUPANCY_TDF_THRESHOLD) -> float:
+def occupancy_fraction(grid: ScalarGrid3) -> float:
     """Fraction of voxels whose TDF value marks them as near-surface."""
-    return float(np.mean(grid.values < threshold))
+    return float(np.mean(grid.values < OCCUPANCY_TDF_THRESHOLD))
 
 
 def write_grid(path, grid: ScalarGrid3) -> None:

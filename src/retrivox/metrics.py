@@ -25,6 +25,8 @@ from . import geometry as G
 from .grids import OCCUPANCY_TDF_THRESHOLD, ScalarGrid3
 
 DEFAULT_SAMPLES = 100_000
+# triangles a distance query evaluates first, for its upper bound
+_PROBE_FACES = 8
 
 
 @dataclass
@@ -63,12 +65,12 @@ class MetricsReport:
 class MeshDistanceIndex:
     """Exact nearest point-to-mesh distances with KD-tree candidate pruning.
 
-    The tree stores triangle centroids; a query first evaluates the k nearest
-    centroids' triangles exactly for an upper bound, then evaluates every
-    triangle whose centroid ball could beat it.
+    The tree stores triangle centroids; a query first evaluates the
+    _PROBE_FACES nearest centroids' triangles exactly for an upper bound, then
+    evaluates every triangle whose centroid ball could beat it.
     """
 
-    def __init__(self, mesh: G.TriMesh, k_probe: int = 8):
+    def __init__(self, mesh: G.TriMesh):
         if mesh.is_empty:
             raise ValueError("cannot index an empty mesh")
         self.mesh = mesh
@@ -78,7 +80,7 @@ class MeshDistanceIndex:
             np.linalg.norm(v - self.centroids, axis=1) for v in (self.a, self.b, self.c)])
         self.r_max = float(self.radii.max())
         self.tree = cKDTree(self.centroids)
-        self.k_probe = min(k_probe, mesh.n_faces)
+        self.k_probe = min(_PROBE_FACES, mesh.n_faces)
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact (distance, face_index) of the closest surface point."""

@@ -19,9 +19,8 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float
 
 class Conv3:
     def __init__(self, store: T.ParamStore, name: str, c_in: int, c_out: int,
-                 k: int = 3, stride: int = 1, pad: int = 1,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 k: int = 3, stride: int = 1, pad: int = 1, *,
+                 rng: np.random.Generator, dtype=np.float32):
         fan_in = c_in * k ** 3
         self.stride, self.pad = stride, pad
         self.w = store.create(f"{name}.w", kaiming_uniform(rng, (c_out, c_in, k, k, k), fan_in, dtype))
@@ -33,9 +32,8 @@ class Conv3:
 
 class TConv3:
     def __init__(self, store: T.ParamStore, name: str, c_in: int, c_out: int,
-                 k: int = 4, stride: int = 2, pad: int = 1,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 k: int = 4, stride: int = 2, pad: int = 1, *,
+                 rng: np.random.Generator, dtype=np.float32):
         fan_in = c_in * k ** 3
         self.stride, self.pad = stride, pad
         self.w = store.create(f"{name}.w", kaiming_uniform(rng, (c_in, c_out, k, k, k), fan_in, dtype))
@@ -47,8 +45,7 @@ class TConv3:
 
 class Dense:
     def __init__(self, store: T.ParamStore, name: str, f_in: int, f_out: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 rng: np.random.Generator, dtype=np.float32):
         self.w = store.create(f"{name}.w", kaiming_uniform(rng, (f_in, f_out), f_in, dtype))
         self.b = store.create(f"{name}.b", np.zeros(f_out, dtype=dtype))
 

@@ -1,10 +1,12 @@
 """Minimal dense reverse-mode autodiff engine over numpy arrays.
 
-A Tensor wraps an ndarray; every op records a backward closure on the output
-node while gradients are enabled, forming a dynamic tape.  backward() runs a
-reverse topological sweep, accumulates gradients into leaves that require
-them, and clears the tape.  Training runs in float32; gradient checks build
-the same graphs in float64.
+A Tensor wraps an ndarray.  Every op computes its output, defines its
+backward closure and hands both to _node, the one place the tape is armed:
+the closure and the op's inputs are recorded only while gradients are
+enabled and some input requires them.  backward() runs a reverse
+topological sweep, accumulates gradients into leaves that require them, and
+releases the tape.  Training runs in float32; gradient checks build the
+same graphs in float64.
 
 No implicit broadcasting beyond bias-add: elementwise ops take equal shapes
 or a python scalar, anything else goes through reshape/transpose/broadcast_to
@@ -26,12 +28,12 @@ from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = b"RFC1"
 
+LEAKY_SLOPE = 0.2
+L2_EPS = 1e-12
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+
 _grad_enabled = True
 _live_tape_nodes = 0
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 @contextmanager
@@ -76,40 +78,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars only, tensor-tensor shapes must match exactly
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap an op result, arming the tape closure when gradients are on."""
+    """Wrap an op result; arm the tape with backward_fn when gradients are on
+    and some parent requires them.  The only place a closure is recorded."""
     global _live_tape_nodes
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -118,6 +93,17 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         out._backward = backward_fn
         _live_tape_nodes += 1
     return out
+
+
+def _release(node: Tensor) -> bool:
+    """Drop an armed node's closure and parents; False if it held none."""
+    global _live_tape_nodes
+    if node._backward is None:
+        return False
+    node._backward = None
+    node._parents = ()
+    _live_tape_nodes -= 1
+    return True
 
 
 def _accum(t: Tensor, g: np.ndarray):
@@ -130,7 +116,6 @@ def _accum(t: Tensor, g: np.ndarray):
 
 def backward(loss: Tensor):
     """Reverse sweep from a scalar loss; clears the tape afterwards."""
-    global _live_tape_nodes
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -159,16 +144,12 @@ def backward(loss: Tensor):
             node._backward(node.grad)
     # release the tape; keep leaf gradients
     for node in topo:
-        if node._backward is not None:
-            node._backward = None
-            node._parents = ()
-            _live_tape_nodes -= 1
+        if _release(node):
             node.grad = None  # interior grads are not reused
 
 
 def clear_graph(root: Tensor):
     """Drop the tape below an output that will never be backpropagated."""
-    global _live_tape_nodes
     stack = [root]
     seen = set()
     while stack:
@@ -177,10 +158,7 @@ def clear_graph(root: Tensor):
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-        if node._backward is not None:
-            node._backward = None
-            node._parents = ()
-            _live_tape_nodes -= 1
+        _release(node)
 
 
 def constant(x, dtype=None) -> Tensor:
@@ -200,78 +178,53 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        bval = float(b)
-        out = _node(a.data + bval, (a,), None)
-        if out.requires_grad:
-            out._backward = lambda g: _accum(a, g)
-        return out
+        return _node(a.data + float(b), (a,), lambda g: _accum(a, g))
     _check_same_shape(a, b, "add")
-    out = _node(a.data + b.data, (a, b), None)
 
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         return add(a, -float(b))
     _check_same_shape(a, b, "sub")
-    out = _node(a.data - b.data, (a, b), None)
 
     def bwd(g):
         _accum(a, g)
         _accum(b, -g)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         bval = float(b)
-        out = _node(a.data * bval, (a,), None)
-        if out.requires_grad:
-            out._backward = lambda g: _accum(a, g * bval)
-        return out
+        return _node(a.data * bval, (a,), lambda g: _accum(a, g * bval))
     _check_same_shape(a, b, "mul")
-    out = _node(a.data * b.data, (a, b), None)
 
     def bwd(g):
         _accum(a, g * b.data)
         _accum(b, g * a.data)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = _node(a.data.reshape(shape), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g.reshape(a.shape))
-    return out
+    return _node(a.data.reshape(tuple(shape)), (a,), lambda g: _accum(a, g.reshape(a.shape)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g.transpose(inv))
-    return out
+    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                 lambda g: _accum(a, g.transpose(inv)))
 
 
 def rearrange(a: Tensor, fwd, inverse) -> Tensor:
     """Apply fwd, a fixed reordering of a's elements (array in, array out);
     the gradient flows back through its inverse."""
-    out = _node(fwd(a.data), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, inverse(g))
-    return out
+    return _node(fwd(a.data), (a,), lambda g: _accum(a, inverse(g)))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -281,44 +234,35 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     lead = len(shape) - a.data.ndim
     sum_axes = tuple(range(lead)) + tuple(
         lead + i for i, d in enumerate(a.data.shape) if d == 1 and shape[lead + i] != 1)
-    out = _node(np.ascontiguousarray(np.broadcast_to(a.data, shape)), (a,), None)
 
     def bwd(g):
         gg = g.sum(axis=sum_axes, keepdims=True) if sum_axes else g
         _accum(a, gg.reshape(a.shape))
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(np.ascontiguousarray(np.broadcast_to(a.data, shape)), (a,), bwd)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0; gradient scatter-adds back (duplicates ok)."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = _node(a.data[idx], (a,), None)
 
     def bwd(g):
         gg = np.zeros_like(a.data)
         np.add.at(gg, idx, g)
         _accum(a, gg)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data[idx], (a,), bwd)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    out = _node(data, tuple(tensors), None)
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accum(t, g[tuple(sl)])
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(data, tuple(tensors), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -326,89 +270,62 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    out = _node(a.data.sum(axis=axis), (a,), None)
-
     def bwd(g):
         if axis is None:
             _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
         else:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data.sum(axis=axis), (a,), bwd)
 
 
 def mean(a: Tensor) -> Tensor:
     inv = 1.0 / a.size
-    out = _node(np.asarray(a.data.mean()), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, np.broadcast_to(g * inv, a.shape).astype(a.dtype, copy=False))
-    return out
+    return _node(np.asarray(a.data.mean()), (a,),
+                 lambda g: _accum(a, np.broadcast_to(g * inv, a.shape).astype(a.dtype, copy=False)))
 
 
 def abs_sum(a: Tensor) -> Tensor:
     """l1 norm of all entries; subgradient sign(x) at 0 is 0."""
-    out = _node(np.asarray(np.abs(a.data).sum()), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * np.sign(a.data))
-    return out
+    return _node(np.asarray(np.abs(a.data).sum()), (a,), lambda g: _accum(a, g * np.sign(a.data)))
 
 
 def tmax(a: Tensor, axis: int) -> Tensor:
     """Max along an axis; ties route the gradient to the first maximum."""
-    data = a.data.max(axis=axis)
     idx = a.data.argmax(axis=axis)
-    out = _node(data, (a,), None)
 
     def bwd(g):
         gg = np.zeros_like(a.data)
-        np.put_along_axis(gg, np.expand_dims(idx, axis),
-                          np.expand_dims(g, axis), axis=axis)
+        np.put_along_axis(gg, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         _accum(a, gg)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data.max(axis=axis), (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    out = _node(np.where(mask, a.data, 0), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * mask)
-    return out
+    return _node(np.where(mask, a.data, 0), (a,), lambda g: _accum(a, g * mask))
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
+    """max(x, LEAKY_SLOPE * x)."""
     mask = a.data > 0
-    out = _node(np.where(mask, a.data, alpha * a.data), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * np.where(mask, 1.0, alpha).astype(a.dtype))
-    return out
+    return _node(np.where(mask, a.data, LEAKY_SLOPE * a.data), (a,),
+                 lambda g: _accum(a, g * np.where(mask, 1.0, LEAKY_SLOPE).astype(a.dtype)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
-    out = _node(y, (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * y * (1.0 - y))
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
 
 def log(a: Tensor) -> Tensor:
-    out = _node(np.log(a.data), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g / a.data)
-    return out
+    return _node(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    out = _node(y, (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * y)
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * y))
 
 
 def softmax(a: Tensor, axis: int, scale: float = 1.0) -> Tensor:
@@ -419,54 +336,43 @@ def softmax(a: Tensor, axis: int, scale: float = 1.0) -> Tensor:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (a,), None)
 
     def bwd(g):
         dot_ = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, scale * y * (g - dot_))
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(y, (a,), bwd)
 
 
-def l2_normalize(a: Tensor, axis: int, eps: float = 1e-12) -> Tensor:
+def l2_normalize(a: Tensor, axis: int) -> Tensor:
+    """a / max(|a|, L2_EPS) along axis."""
     n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
-    n = np.maximum(n, eps)
+    n = np.maximum(n, L2_EPS)
     y = a.data / n
-    out = _node(y, (a,), None)
 
     def bwd(g):
         dot_ = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, (g - y * dot_) / n)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(y, (a,), bwd)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"dot expects equal-length vectors, got {a.shape} and {b.shape}")
-    out = _node(np.asarray(a.data @ b.data), (a, b), None)
 
     def bwd(g):
         _accum(a, g * b.data)
         _accum(b, g * a.data)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(np.asarray(a.data @ b.data), (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    out = _node(a.data @ b.data, (a, b), None)
 
     def bwd(g):
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -478,17 +384,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b.shape != (w.shape[1],):
             raise ValueError(f"dense bias shape {b.shape} != ({w.shape[1]},)")
         data = data + b.data
-    parents = (x, w) if b is None else (x, w, b)
-    out = _node(data, parents, None)
 
     def bwd(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
         if b is not None:
             _accum(b, g.sum(axis=0))
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(data, (x, w) if b is None else (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +463,8 @@ def conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
     n, cin, spatial, cout, k = _conv_args("conv3", x, w, b, stride, pad, cin_axis=1)
     od = [(d + 2 * pad - k) // stride + 1 for d in spatial]
     if min(od) < 1:
-        raise ValueError(f"conv3 output would be empty: in {spatial}, k={k}, stride={stride}, pad={pad}")
+        raise ValueError(f"conv3 output would be empty: in {spatial}, k={k}, "
+                         f"stride={stride}, pad={pad}")
     xp = np.pad(x.data, ((0, 0), (0, 0)) + ((pad, pad),) * 3) if pad else x.data
     wm = w.data.reshape(cout, -1)
     blocks = _plane_blocks(wm.shape[1], od, xp.itemsize)
@@ -571,8 +474,6 @@ def conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
             n, cout, x1 - x0, od[1], od[2])
     if b is not None:
         data += b.data.reshape(1, cout, 1, 1, 1)
-    parents = (x, w) if b is None else (x, w, b)
-    out = _node(data, parents, None)
 
     def bwd(g):
         gxp = np.zeros_like(xp) if x.requires_grad else None
@@ -589,9 +490,7 @@ def conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
             _accum(w, gwt.T.reshape(w.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3, 4)))
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(data, (x, w) if b is None else (x, w, b), bwd)
 
 
 def transposed_conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -615,8 +514,6 @@ def transposed_conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
     data = np.ascontiguousarray(out_full[:, :, pad:pad + od[0], pad:pad + od[1], pad:pad + od[2]])
     if b is not None:
         data += b.data.reshape(1, cout, 1, 1, 1)
-    parents = (x, w) if b is None else (x, w, b)
-    out = _node(data, parents, None)
 
     def bwd(g):
         gfull = np.pad(g, ((0, 0), (0, 0)) + ((pad, pad),) * 3) if pad else g
@@ -635,9 +532,7 @@ def transposed_conv3(x: Tensor, w: Tensor, b: Tensor | None = None,
             _accum(w, gwt.T.reshape(w.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3, 4)))
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+    return _node(data, (x, w) if b is None else (x, w, b), bwd)
 
 
 def nearest_upsample3(x: Tensor, factor: int) -> Tensor:
@@ -647,15 +542,11 @@ def nearest_upsample3(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ValueError("factor must be >= 1")
     data = x.data.repeat(factor, axis=2).repeat(factor, axis=3).repeat(factor, axis=4)
-    out = _node(data, (x,), None)
     n, c, dx, dy, dz = x.shape
 
     def bwd(g):
-        gg = g.reshape(n, c, dx, factor, dy, factor, dz, factor).sum(axis=(3, 5, 7))
-        _accum(x, gg)
-    if out.requires_grad:
-        out._backward = bwd
-    return out
+        _accum(x, g.reshape(n, c, dx, factor, dy, factor, dz, factor).sum(axis=(3, 5, 7)))
+    return _node(data, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +575,11 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self.params.values())
 
-
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update over every parameter; consumes grads."""
+def adam_step(store: ParamStore, lr: float, eps: float = 1e-8):
+    """One bias-corrected Adam update (betas ADAM_BETA1, ADAM_BETA2) over
+    every parameter; consumes grads."""
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     missing = [n for n, t in store.params.items() if t.grad is None]
     if missing:
         raise ValueError(f"adam_step: missing gradients for {missing}")

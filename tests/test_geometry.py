@@ -301,6 +301,22 @@ class TestPointTriangleDistance:
         assert (~finite).sum() > 0 and (kind[~finite] == 0).all()
         np.testing.assert_allclose(got[finite], old[finite], rtol=0, atol=1e-12)
 
+    def test_nearly_collinear_triangles(self):
+        """Rounding swamps the face formula of a triangle some 1e-15 wide
+        (here it put 49 of 3000 distances up to 1.06 too far); such a
+        triangle is its three edges to within its width."""
+        rng = np.random.default_rng(9)
+        n = 3000
+        a, b = rng.uniform(-1, 1, size=(2, n, 3))
+        c = a + rng.uniform(-0.5, 1.5, size=(n, 1)) * (b - a) + rng.normal(size=(n, 3)) * 1e-15
+        p = (a + rng.uniform(-0.2, 1.2, size=(n, 1)) * (b - a)
+             + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-4, 0, size=(n, 1)))
+        assert (0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1) < 1e-14).all()
+        want = np.minimum.reduce([segment_distance(p, a, b), segment_distance(p, b, c),
+                                  segment_distance(p, c, a)])
+        np.testing.assert_allclose(G.point_triangle_distances(p, a, b, c), want,
+                                   rtol=0, atol=1e-12)
+
     def test_sliver_matches_oracle(self):
         rng = np.random.default_rng(6)
         a, b = np.zeros(3), np.array([2.0, 0.0, 0.0])

@@ -262,6 +262,23 @@ def test_op_gradcheck(name):
         assert err < 1e-4, f"{name} trial {trial}: rel err {err}"
 
 
+@pytest.mark.parametrize("name", ALL_OP_NAMES)
+def test_op_arms_tape_only_when_needed(name):
+    """No node under no_grad or without a grad-requiring input; backward
+    releases every node it armed."""
+    fn, inputs = dict(op_cases(np.random.default_rng(7)))[name]()
+    base = T.live_tape_nodes()
+    with T.no_grad():
+        out = fn(*[T.Tensor(x, requires_grad=True) for x in inputs])
+    assert T.live_tape_nodes() == base and not out.requires_grad
+    out = fn(*[T.Tensor(x) for x in inputs])
+    assert T.live_tape_nodes() == base and not out.requires_grad
+    loss = fn(*[T.Tensor(x, requires_grad=True) for x in inputs])
+    assert T.live_tape_nodes() > base and loss.requires_grad
+    T.backward(loss)
+    assert T.live_tape_nodes() == base
+
+
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         store = T.ParamStore()
