@@ -1,12 +1,13 @@
 """Walk through the volumetric grid layer: TDF normalization, the
-window/chunk/patch hierarchy, sliding windows, and the RFG1 file format.
+window/chunk/patch hierarchy cut by one tiling primitive, scene windows,
+and the RFG1 file format.
 """
 
 import numpy as np
 
-from retrivox import (ChunkLayout, ScalarGrid3, coarsen, fold, normalize_tdf,
-                      occupancy_from_points, read_grid, reassemble_windows,
-                      unfold, windows, write_grid)
+from retrivox import (ChunkLayout, ScalarGrid3, coarsen, from_blocks,
+                      normalize_tdf, occupancy_from_points, read_grid,
+                      to_blocks, upsample, windows, write_grid)
 
 # A scene window is 64^3 voxels at the default layout; retrieval works on
 # 16^3 chunks and attention on 4^3 patches, so one window holds 4^3 = 64
@@ -22,26 +23,33 @@ raw = ScalarGrid3(rng.uniform(0, 6, size=(64, 64, 64)).astype(np.float32), 0.054
 tdf = normalize_tdf(raw, trunc=3.0)
 print(f"normalized range: [{tdf.values.min():.3f}, {tdf.values.max():.3f}]")
 
-# unfold/fold are exact inverses; chunk order is lexicographic (i, j, k).
-chunks = unfold(tdf, layout)
-back = fold(chunks, layout)
-print("fold(unfold(x)) exact:", np.array_equal(back.values, tdf.values))
+# One primitive cuts every level: to_blocks turns a window into its 4x4x4
+# grid of chunks, and each chunk into its grid of patches; from_blocks is
+# the exact inverse.  Flattened, the block order is lexicographic (i, j, k).
+chunks = to_blocks(tdf.values, layout.chunk_dim)
+patches = to_blocks(chunks, layout.patch_dim)
+print(f"chunks {chunks.shape}, patches {patches.shape}")
+back = from_blocks(from_blocks(patches))
+print("from_blocks(to_blocks(x)) exact:", np.array_equal(back, tdf.values))
 
-# Larger scenes tile into disjoint 64^3 windows (padding value 1.0 = empty).
-big = ScalarGrid3(rng.uniform(0, 1, size=(70, 70, 70)).astype(np.float32), 0.054)
-pairs = windows(big, layout, stride=64)
-print(f"70^3 scene -> {len(pairs)} windows at stride 64")
-restored = reassemble_windows(pairs, big.dims)
-print("window round trip exact:", np.array_equal(restored.values, big.values))
+# Larger scenes, boxes included, tile into disjoint 64^3 windows (padding
+# value 1.0 = empty); from_blocks and a crop give the scene back.
+big = ScalarGrid3(rng.uniform(0, 1, size=(70, 100, 64)).astype(np.float32), 0.054)
+wins = windows(big.values, layout.scene_dim)
+print(f"70x100x64 scene -> {wins.shape[:3]} grid of {layout.scene_dim}^3 windows")
+restored = from_blocks(wins)[:70, :100, :64]
+print("window round trip exact:", np.array_equal(restored, big.values))
 
 # Point clouds become occupancy grids; out-of-bounds points are counted.
 pts = rng.uniform(-0.1, 64 * 0.054, size=(1000, 3))
 occ, dropped = occupancy_from_points(pts, (64, 64, 64), 0.054)
 print(f"occupancy: {int(occ.values.sum())} voxels, {dropped} points outside")
 
-# Min-pool coarsening preserves zero crossings of distance fields.
+# Min-pool coarsening preserves zero crossings of distance fields; nearest
+# upsampling is how a coarse input reaches the target resolution.
 lowres = coarsen(tdf, 4)
 print(f"coarsened to {lowres.dims}, voxel {lowres.voxel_size:.3f} m")
+print(f"upsampled back to {upsample(lowres.values, 4).shape}")
 
 # RFG1 round trip is bit-exact.
 write_grid("/tmp/demo_grid.rfg1", tdf)

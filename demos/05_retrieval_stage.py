@@ -5,10 +5,9 @@ rank-r approximate reconstructions.
 
 import numpy as np
 
-from retrivox import tensor as T
-from retrivox import (ChunkLayout, HyperParams, ScalarGrid3, fold,
-                      assemble_approximations, build, iou_temperature,
-                      knn, knn_bruteforce, ntxent_loss, train_retrieval)
+from retrivox import (HyperParams, ScalarGrid3, assemble_approximations, build,
+                      coarsen, from_blocks, iou_temperature, knn,
+                      knn_bruteforce, train_retrieval)
 from retrivox.grids import MINI_LAYOUT
 
 hp = HyperParams(batch_retrieval=8)
@@ -28,7 +27,7 @@ for p in range(8):
     v[i * 4:(i + 1) * 4, j * 4:(j + 1) * 4, k * 4:(k + 1) * 4] = 0.05
     protos.append(v)
 targets = np.stack(protos)
-inputs = targets.reshape(8, 4, 2, 4, 2, 4, 2).min(axis=(2, 4, 6))
+inputs = np.stack([coarsen(ScalarGrid3(t, 1.0), 2).values for t in targets])
 
 enc, log = train_retrieval(inputs, targets, hp, seed=1, iters=250, lr=1e-3)
 print(f"contrastive loss: {log[0][1]:.3f} -> {log[-1][1]:.3f}")
@@ -41,8 +40,8 @@ print("recall@1:", float((np.argmax(ex @ ey.T, axis=1) == np.arange(8)).mean()))
 # Database over one scene assembled from the prototypes.
 layout = MINI_LAYOUT
 rng = np.random.default_rng(4)
-order = rng.integers(0, 8, size=64)
-scene = fold([ScalarGrid3(targets[i], 1.0) for i in order], layout)
+order = rng.integers(0, 8, size=(layout.n,) * 3)    # prototype of each chunk slot
+scene = ScalarGrid3(from_blocks(targets[order]), 1.0)
 db = build(enc, [scene], layout, scene_tags=["toy"])
 print(f"database entries: {len(db)}")
 
@@ -52,8 +51,7 @@ q = enc.encode_inputs(inputs[3:4])[0]
 print("knn == oracle:", knn(db, q, 4) == knn_bruteforce(db, q, 4))
 
 # Rank-1 assembly rebuilds the scene from retrieved chunks alone.
-coarse = ScalarGrid3(scene.values.reshape(16, 2, 16, 2, 16, 2).min(axis=(1, 3, 5)),
-                     2.0, scene.origin)
+coarse = coarsen(scene, 2)
 approx = assemble_approximations(db, enc, coarse, layout, k=2)
 match = np.array_equal(approx[0].scene.values, scene.values)
 print("rank-1 assembly reproduces the scene:", match)

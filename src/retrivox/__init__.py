@@ -6,9 +6,9 @@ a minimal reverse-mode autodiff engine, contrastive chunk retrieval with an
 exact k-NN database, patch-attention fusion, and experiment orchestration.
 """
 
-from .grids import (ChunkLayout, HyperParams, ScalarGrid3, coarsen, fold,
-                    normalize_tdf, occupancy_from_points, read_grid,
-                    reassemble_windows, unfold, windows, write_grid)
+from .grids import (ChunkLayout, HyperParams, ScalarGrid3, coarsen,
+                    from_blocks, normalize_tdf, occupancy_from_points,
+                    read_grid, to_blocks, upsample, windows, write_grid)
 from .geometry import (TriMesh, box_mesh, cylinder_mesh, euler_characteristic,
                        load_obj, marching_cubes, marching_cubes_field,
                        mesh_to_tdf, sample_surface, save_obj, square_mesh,

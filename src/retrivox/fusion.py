@@ -6,8 +6,9 @@ Feature geometry: a window of side S with patch side p yields a cell grid of
 side M = S/p, one feature vector per patch.  The input trunk is a small
 encoder-decoder with a skip connection; each retrieved window is processed
 chunk-by-chunk by a lighter extractor, and the per-chunk cells are folded
-back into a full cell grid aligned with the input's.  Window <-> chunk
-blocking goes through grids.to_blocks / grids.from_blocks.
+back into a full cell grid aligned with the input's.  Every cut and join
+(scene <-> windows, window <-> chunks, chunk <-> patches) goes through
+grids.to_blocks / grids.from_blocks.
 
 Retrieved chunks repeat heavily (every window draws its k candidates from the
 same database), so the chunk batch of all k ranks of a batch is reduced to
@@ -37,12 +38,15 @@ from . import tensor as T
 from .embed import ntxent_loss
 from .geometry import TriMesh, marching_cubes
 from .grids import (OCCUPANCY_TDF_THRESHOLD, ChunkLayout, HyperParams,
-                    ScalarGrid3, from_blocks, reassemble_windows, to_blocks,
-                    windows)
+                    ScalarGrid3, from_blocks, to_blocks, upsample, windows)
 from .metrics import pairwise_occupancy_iou
 from .nn import Conv3, Dense, TConv3
 
 MODES = ("attention", "naive", "no_retrieval")
+
+# learnable blend gate init (c, d): d > 0 starts the gate retrieval-leaning,
+# which converges much faster when retrievals are strong
+BLEND_INIT = (1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +107,6 @@ class FusionConfig:
     retr_base_channels: int = 8
     attn_dim: int = 32
     C_sharpness: float = 10.0
-    # learnable blend gate init (c, d): d > 0 starts the gate retrieval-
-    # leaning, which converges much faster when retrievals are strong
-    blend_init: tuple = (1.0, 1.5)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -113,16 +114,6 @@ class FusionConfig:
         p = self.layout.patch_dim
         if p < 2 or p & (p - 1):
             raise ValueError("patch_dim must be a power of two >= 2")
-
-    @classmethod
-    def from_hyperparams(cls, layout: ChunkLayout, hp: HyperParams,
-                         mode: str = "attention", k: int | None = None,
-                         feat_channels: int = 64, base_channels: int = 16,
-                         retr_base_channels: int = 8) -> "FusionConfig":
-        return cls(layout=layout, k=hp.k if k is None else k, mode=mode,
-                   feat_channels=feat_channels, base_channels=base_channels,
-                   retr_base_channels=retr_base_channels, attn_dim=hp.attn_dim,
-                   C_sharpness=hp.C_sharpness)
 
 
 class FusionModel:
@@ -166,8 +157,8 @@ class FusionModel:
             self.h_in2 = Dense(self.store, "h_in.l2", f, c.attn_dim, rng=rng, dtype=dtype)
             self.h_retr1 = Dense(self.store, "h_retr.l1", f, f, rng=rng, dtype=dtype)
             self.h_retr2 = Dense(self.store, "h_retr.l2", f, c.attn_dim, rng=rng, dtype=dtype)
-            self.blend_c = self.store.create("blend.c", np.array([c.blend_init[0]], dtype=dtype))
-            self.blend_d = self.store.create("blend.d", np.array([c.blend_init[1]], dtype=dtype))
+            self.blend_c = self.store.create("blend.c", np.array([BLEND_INIT[0]], dtype=dtype))
+            self.blend_d = self.store.create("blend.d", np.array([BLEND_INIT[1]], dtype=dtype))
         elif c.mode == "naive":
             self.naive_mix = Dense(self.store, "naive.mix", (c.k + 1) * f, f,
                                    rng=rng, dtype=dtype)
@@ -226,9 +217,9 @@ class FusionModel:
 
     def fold_chunk_cells(self, cells: T.Tensor, n_windows: int) -> T.Tensor:
         """(N * n^3, F, m, m, m) per-chunk cells -> (N, F, M, M, M)."""
-        f, m = cells.shape[1], cells.shape[2]
-        h = T.reshape(cells, (n_windows, self.config.layout.n ** 3, f, m, m, m))
-        h = T.transpose(h, (0, 2, 1, 3, 4, 5))
+        f, m, n = cells.shape[1], cells.shape[2], self.config.layout.n
+        h = T.reshape(cells, (n_windows, n, n, n, f, m, m, m))
+        h = T.transpose(h, (0, 4, 1, 2, 3, 5, 6, 7))
         return T.rearrange(h, from_blocks, lambda g: to_blocks(g, m))
 
     def cells_to_patches(self, cells: T.Tensor) -> T.Tensor:
@@ -278,6 +269,12 @@ class FusionModel:
         s = cfg.layout.scene_dim
         if inputs.shape[1:] != (s, s, s):
             raise ValueError(f"input windows must be (N, {s}, {s}, {s})")
+        if cfg.mode != "no_retrieval":
+            if approx is None:
+                raise ValueError(f"mode {cfg.mode!r} needs retrieval approximations")
+            if approx.shape != (nb, cfg.k, s, s, s):
+                raise ValueError(f"approximations of shape {approx.shape} are not "
+                                 f"(N, k, S, S, S) = {(nb, cfg.k, s, s, s)}")
         x = T.Tensor(inputs.reshape(nb, 1, s, s, s).astype(self.dtype))
         x_cells = self.f_in(x)
         x_p = self.cells_to_patches(x_cells)
@@ -287,10 +284,6 @@ class FusionModel:
         if cfg.mode == "no_retrieval":
             blended = x_p
         else:
-            if approx is None:
-                raise ValueError(f"mode {cfg.mode!r} needs retrieval approximations")
-            if approx.shape[1] != cfg.k:
-                raise ValueError(f"expected k={cfg.k} approximations, got {approx.shape[1]}")
             p_count, f = x_p.shape
             r_p = self.cells_to_patches(self.retrieval_cells(approx))
             # (P, k, F): the k retrieval features of every patch
@@ -463,9 +456,10 @@ def reconstruct_scene(model: FusionModel, db: RDB.ChunkDatabase | None,
     """Sliding-window reconstruction of a whole scene plus its mesh.
 
     The input scene is at target resolution divided by sr_factor (1 for
-    occupancy input).  Windows are disjoint at stride = window size, so the
-    reassembly is exact at seams.  All windows are served as one batch: one
-    retrieval over every chunk slot of the scene, then one refine pass.
+    occupancy input).  grids.windows cuts it into disjoint windows, so the
+    join by from_blocks is exact at seams.  All windows are served as one
+    batch: one retrieval over every chunk slot of the scene, then one refine
+    pass.
     """
     if sr_factor < 1 or layout.chunk_dim % sr_factor:
         raise ValueError(f"sr_factor {sr_factor} does not divide chunk_dim {layout.chunk_dim}")
@@ -474,22 +468,19 @@ def reconstruct_scene(model: FusionModel, db: RDB.ChunkDatabase | None,
     mode = model.config.mode
     if mode != "no_retrieval" and (db is None or encoders is None):
         raise ValueError("reconstruction in this mode needs db and encoders")
-    in_win = layout.scene_dim // sr_factor
-    in_layout = ChunkLayout(scene_dim=in_win, chunk_dim=in_win, patch_dim=1)
-    pairs = windows(input_scene, in_layout, stride=in_win)
-    wins = np.stack([win.values for _, win in pairs])
+    w = layout.scene_dim
+    in_win = w // sr_factor
+    grid = windows(input_scene.values, in_win)
+    wins = grid.reshape(-1, in_win, in_win, in_win)
     approx = None
     if mode != "no_retrieval":
         approx = RDB.retrieve_windows(db, encoders, wins, layout, model.config.k)
-    up = wins.repeat(sr_factor, 1).repeat(sr_factor, 2).repeat(sr_factor, 3)
     with T.no_grad():
-        out, _, _ = model.refine_batch(up.astype(np.float32), approx)
-    target_vs = input_scene.voxel_size / sr_factor
-    out_pairs = [(tuple(o * sr_factor for o in off),
-                  ScalarGrid3(vals[0].astype(np.float32), target_vs, win.origin))
-                 for (off, win), vals in zip(pairs, out.data)]
-    out_dims = tuple(d * sr_factor for d in input_scene.dims)
-    scene = reassemble_windows(out_pairs, out_dims, voxel_size=target_vs,
-                               origin=input_scene.origin)
+        out, _, _ = model.refine_batch(upsample(wins, sr_factor).astype(np.float32, copy=False),
+                                       approx)
+    full = from_blocks(out.data.reshape(*grid.shape[:3], w, w, w))
+    nx, ny, nz = (d * sr_factor for d in input_scene.dims)
+    scene = ScalarGrid3(full[:nx, :ny, :nz].astype(np.float32, copy=False),
+                        input_scene.voxel_size / sr_factor, input_scene.origin)
     mesh = marching_cubes(scene)
     return scene, mesh

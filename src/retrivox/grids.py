@@ -1,10 +1,13 @@
-"""Dense volumetric grids: truncation, chunking, windows, occupancy, coarsening.
+"""Dense volumetric grids: truncation, tiling, occupancy, coarsening.
 
 A grid stores one scalar per voxel in a (nx, ny, nz) array with z varying
 fastest in memory (C order).  The world-space box of voxel (0,0,0) is
 [origin, origin + voxel_size)^3 and its sample point is the voxel center.
 All grids are immutable after construction; every operation here is a pure
 function returning new grids.
+
+to_blocks / from_blocks is the one tiler: scenes into windows, windows into
+chunks, chunks into patches, and the factor^3 blocks that coarsen pools.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ GRID_HEADER = struct.Struct("<IIIf3f")
 # Normalized TDF value below which a voxel counts as occupied (raw distance
 # under one voxel at the default truncation of 3 voxels).
 OCCUPANCY_TDF_THRESHOLD = 1.0 / 3.0
+PAD_TDF_VALUE = 1.0  # windows pad a scene with empty space at full truncation
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +127,6 @@ class HyperParams:
     batch_refine: int = 8
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in ("tau_retrieval", "tau_attention"):
             tau = getattr(self, name)
             if not (0.0 < tau <= 1.0):
@@ -159,106 +160,36 @@ def normalize_tdf(grid: ScalarGrid3, trunc: float) -> ScalarGrid3:
 
 
 def to_blocks(values: np.ndarray, block: int) -> np.ndarray:
-    """(..., D, D, D) windows -> (..., (D/block)^3, block, block, block) blocks,
-    lexicographic (i, j, k) block order within each window."""
-    if (values.ndim < 3 or len(set(values.shape[-3:])) != 1 or block < 1
-            or values.shape[-1] % block):
-        raise ValueError(f"windows of shape {values.shape} do not split into {block}^3 blocks")
-    lead, n = values.shape[:-3], values.shape[-1] // block
+    """(..., X, Y, Z) -> (..., X/b, Y/b, Z/b, b, b, b), b = block: the grid of
+    b^3 blocks, in lexicographic (i, j, k) order under .reshape(-1, b, b, b)."""
+    if values.ndim < 3 or block < 1 or any(d % block for d in values.shape[-3:]):
+        raise ValueError(f"grid of shape {values.shape} does not split into {block}^3 blocks")
+    lead, (nx, ny, nz) = values.shape[:-3], (d // block for d in values.shape[-3:])
     nl = len(lead)
-    v = values.reshape(*lead, n, block, n, block, n, block)
-    v = v.transpose(*range(nl), nl, nl + 2, nl + 4, nl + 1, nl + 3, nl + 5)
-    return np.ascontiguousarray(v).reshape(*lead, n ** 3, block, block, block)
+    v = values.reshape(*lead, nx, block, ny, block, nz, block)
+    return np.ascontiguousarray(v.transpose(*range(nl), nl, nl + 2, nl + 4,
+                                            nl + 1, nl + 3, nl + 5))
 
 
 def from_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Exact inverse of to_blocks: (..., n^3, b, b, b) -> (..., n*b, n*b, n*b)."""
-    n = round(blocks.shape[-4] ** (1 / 3)) if blocks.ndim >= 4 else 0
-    if n < 1 or n ** 3 != blocks.shape[-4] or len(set(blocks.shape[-3:])) != 1:
-        raise ValueError(f"blocks of shape {blocks.shape} do not fold into a cube")
-    lead, b = blocks.shape[:-4], blocks.shape[-1]
+    """Exact inverse of to_blocks: (..., nx, ny, nz, b, b, b) -> (..., nx*b, ny*b, nz*b)."""
+    if blocks.ndim < 6 or len(set(blocks.shape[-3:])) != 1:
+        raise ValueError(f"blocks of shape {blocks.shape} are not a grid of cubes")
+    lead, (nx, ny, nz, b) = blocks.shape[:-6], blocks.shape[-6:-2]
     nl = len(lead)
-    v = blocks.reshape(*lead, n, n, n, b, b, b)
-    v = v.transpose(*range(nl), nl, nl + 3, nl + 1, nl + 4, nl + 2, nl + 5)
-    return np.ascontiguousarray(v).reshape(*lead, n * b, n * b, n * b)
+    v = blocks.transpose(*range(nl), nl, nl + 3, nl + 1, nl + 4, nl + 2, nl + 5)
+    return np.ascontiguousarray(v).reshape(*lead, nx * b, ny * b, nz * b)
 
 
-def unfold(scene: ScalarGrid3, layout: ChunkLayout) -> list[ScalarGrid3]:
-    """Split one window into its n^3 chunks in lexicographic (i, j, k) order."""
-    d = layout.scene_dim
-    if scene.dims != (d, d, d):
-        raise ValueError(f"scene dims {scene.dims} do not match layout window {d}^3")
-    c, n = layout.chunk_dim, layout.n
-    origins = scene.origin + np.indices((n, n, n)).reshape(3, -1).T * (c * scene.voxel_size)
-    return [ScalarGrid3(block, scene.voxel_size, org)
-            for block, org in zip(to_blocks(scene.values, c), origins)]
-
-
-def fold(chunks: list[ScalarGrid3], layout: ChunkLayout) -> ScalarGrid3:
-    """Exact inverse of unfold: reassemble n^3 chunks into one window."""
-    c = layout.chunk_dim
-    n = layout.n
-    if len(chunks) != n ** 3:
-        raise ValueError(f"expected {n ** 3} chunks, got {len(chunks)}")
-    for ch in chunks:
-        if ch.dims != (c, c, c):
-            raise ValueError(f"chunk dims {ch.dims} do not match layout chunk {c}^3")
-    out = from_blocks(np.stack([ch.values for ch in chunks]).astype(chunks[0].values.dtype,
-                                                                     copy=False))
-    return ScalarGrid3(out, chunks[0].voxel_size, chunks[0].origin)
-
-
-PAD_TDF_VALUE = 1.0  # empty space at full truncation
-
-
-def windows(scene: ScalarGrid3, layout: ChunkLayout,
-            stride: int | None = None) -> list[tuple[tuple[int, int, int], ScalarGrid3]]:
-    """Decompose a scene into window-sized blocks at the given voxel stride.
-
-    The scene is padded with PAD_TDF_VALUE so windows tile it exactly; at
-    stride == scene_dim the cover is non-overlapping.  Returns
-    (voxel_offset, window) pairs; offsets index the padded scene and feed
-    reassemble_windows.
-    """
-    w = layout.scene_dim
-    if stride is None:
-        stride = w
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    # smallest count with (count-1)*stride + w >= d
-    counts = [-(-(d - w) // stride) + 1 if d > w else 1 for d in scene.dims]
-    padded_dims = tuple((cnt - 1) * stride + w for cnt in counts)
-    padded = np.full(padded_dims, PAD_TDF_VALUE, dtype=scene.values.dtype)
-    padded[:scene.dims[0], :scene.dims[1], :scene.dims[2]] = scene.values
-    out = []
-    for ci in range(counts[0]):
-        for cj in range(counts[1]):
-            for ck in range(counts[2]):
-                o = (ci * stride, cj * stride, ck * stride)
-                block = padded[o[0]:o[0] + w, o[1]:o[1] + w, o[2]:o[2] + w]
-                org = scene.origin + np.asarray(o, dtype=np.float64) * scene.voxel_size
-                out.append((o, ScalarGrid3(np.ascontiguousarray(block), scene.voxel_size, org)))
-    return out
-
-
-def reassemble_windows(pairs: list[tuple[tuple[int, int, int], ScalarGrid3]],
-                       dims: tuple[int, int, int],
-                       voxel_size: float | None = None,
-                       origin=None) -> ScalarGrid3:
-    """Place windows back at their voxel offsets and crop to `dims`."""
-    if not pairs:
-        raise ValueError("no windows to reassemble")
-    first = pairs[0][1]
-    voxel_size = first.voxel_size if voxel_size is None else voxel_size
-    w = first.dims[0]
-    full_dims = tuple(max(dims[a], max(o[a] for o, _ in pairs) + w) for a in range(3))
-    buf = np.full(full_dims, PAD_TDF_VALUE, dtype=first.values.dtype)
-    for o, win in pairs:
-        buf[o[0]:o[0] + w, o[1]:o[1] + w, o[2]:o[2] + w] = win.values
-    if origin is None:
-        base = min(pairs, key=lambda p: p[0])
-        origin = base[1].origin - np.asarray(base[0], dtype=np.float64) * voxel_size
-    return ScalarGrid3(np.ascontiguousarray(buf[:dims[0], :dims[1], :dims[2]]), voxel_size, origin)
+def windows(values: np.ndarray, side: int) -> np.ndarray:
+    """Disjoint windows (gx, gy, gz, side, side, side) of a scene (X, Y, Z)
+    padded with PAD_TDF_VALUE to a multiple of side; from_blocks and a crop
+    to (X, Y, Z) invert it."""
+    if side < 1:
+        raise ValueError(f"window side must be >= 1, got {side}")
+    padded = np.full([-(-d // side) * side for d in values.shape], PAD_TDF_VALUE, values.dtype)
+    padded[tuple(map(slice, values.shape))] = values
+    return to_blocks(padded, side)
 
 
 def occupancy_from_points(points: np.ndarray, dims, voxel_size: float) -> tuple[ScalarGrid3, int]:
@@ -286,12 +217,16 @@ def coarsen(scene: ScalarGrid3, factor: int) -> ScalarGrid3:
         return scene
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    nx, ny, nz = scene.dims
-    if nx % factor or ny % factor or nz % factor:
-        raise ValueError(f"factor {factor} does not divide dims {scene.dims}")
-    v = scene.values.reshape(nx // factor, factor, ny // factor, factor, nz // factor, factor)
-    pooled = v.min(axis=(1, 3, 5))
+    pooled = to_blocks(scene.values, factor).min(axis=(3, 4, 5))
     return ScalarGrid3(pooled, scene.voxel_size * factor, scene.origin)
+
+
+def upsample(values: np.ndarray, factor: int) -> np.ndarray:
+    """Nearest upsampling (..., X, Y, Z) -> (..., fX, fY, fZ), f = factor, of
+    a coarse input; training records and serving both use it."""
+    if factor < 1:
+        raise ValueError(f"factor must be >= 1, got {factor}")
+    return values.repeat(factor, -3).repeat(factor, -2).repeat(factor, -1)
 
 
 def occupancy_fraction(grid: ScalarGrid3) -> float:

@@ -25,7 +25,7 @@ from . import metrics as M
 from . import retrievaldb as RDB
 from .grids import (ChunkLayout, HyperParams, ScalarGrid3, coarsen,
                     occupancy_fraction, occupancy_from_points, read_grid,
-                    write_grid)
+                    upsample, write_grid)
 
 STAGES = ("gen_data", "train_retrieval", "build_db", "cache_retrievals",
           "train_refine", "reconstruct", "evaluate", "extend_db")
@@ -101,10 +101,11 @@ class ExperimentConfig:
         return RunPaths(Path(self.out_dir))
 
     def fusion_config(self, mode: str | None = None, k: int | None = None) -> FU.FusionConfig:
-        return FU.FusionConfig.from_hyperparams(
-            self.layout, self.hp, mode=mode or self.mode, k=k,
+        return FU.FusionConfig(
+            layout=self.layout, k=self.hp.k if k is None else k, mode=mode or self.mode,
             feat_channels=self.feat_channels, base_channels=self.base_channels,
-            retr_base_channels=self.retr_base_channels)
+            retr_base_channels=self.retr_base_channels, attn_dim=self.hp.attn_dim,
+            C_sharpness=self.hp.C_sharpness)
 
 
 def desk_config(**overrides) -> ExperimentConfig:
@@ -557,11 +558,7 @@ def _load_cache(path: Path, scene_dim: int) -> np.ndarray:
 
 
 def _upsampled_input(rec: SceneRecord, cfg: ExperimentConfig) -> np.ndarray:
-    v = input_grid(rec, cfg).values
-    f = cfg.input_factor
-    if f > 1:
-        v = v.repeat(f, 0).repeat(f, 1).repeat(f, 2)
-    return v.astype(np.float32)
+    return upsample(input_grid(rec, cfg).values, cfg.input_factor).astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------

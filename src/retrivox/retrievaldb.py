@@ -200,13 +200,14 @@ def retrieve_windows(db: ChunkDatabase, encoders: ChunkEncoderPair,
     one k-NN search cover every chunk slot of every window."""
     wins = np.asarray(input_windows)
     n, c = layout.n, layout.chunk_dim
-    if wins.ndim != 4 or wins.shape[1] % n:
-        raise ValueError(f"input windows of shape {wins.shape} do not split into {n}^3 chunks")
+    if wins.ndim != 4 or len(set(wins.shape[1:])) != 1 or wins.shape[1] % n:
+        raise ValueError(f"input windows of shape {wins.shape} are not (N, s, s, s) "
+                         f"cubes that split into {n}^3 chunks")
     nb = wins.shape[0]
     in_chunks = to_blocks(wins, wins.shape[1] // n).reshape(nb * n ** 3, -1)
     rows, _ = _knn_rows(db, encoders.encode_inputs(in_chunks), k)
-    rows = rows.reshape(nb, n ** 3, k).transpose(0, 2, 1)
-    return from_blocks(db.chunks[rows].reshape(nb, k, n ** 3, c, c, c))
+    rows = rows.reshape(nb, n, n, n, k).transpose(0, 4, 1, 2, 3)
+    return from_blocks(db.chunks[rows].reshape(nb, k, n, n, n, c, c, c))
 
 
 def assemble_approximations(db: ChunkDatabase, encoders: ChunkEncoderPair,

@@ -170,6 +170,36 @@ def test_criterion_3_attention_invariants():
                    f"max-weight monotone in C: {mono_ok} over 10^4 configs")
 
 
+def test_criterion_3_model_trace_matches_reference_forms():
+    """The model's attention in float64 against the reference forms above,
+    patch by patch: scores from the h_in / h_retr projections, weights from
+    the sharpened softmax of those scores, beta = sigmoid(c * max + d)."""
+    cfg = FU.FusionConfig(layout=ChunkLayout(8, 4, 2), k=3, feat_channels=6, base_channels=4,
+                          retr_base_channels=3, attn_dim=4, C_sharpness=10.0)
+    model = FU.FusionModel(cfg, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(34)
+    approx = rng.random((2, cfg.k, 8, 8, 8))
+    with T.no_grad():
+        _, trace, aux = model.refine_batch(rng.random((2, 8, 8, 8)), approx)
+        x_p = aux["x_patches"]
+        p_count, f = x_p.shape
+        r_p = model.cells_to_patches(model.retrieval_cells(approx)).data
+        r_p = r_p.reshape(cfg.k, p_count, f).transpose(1, 0, 2).reshape(-1, f)
+        h_in = model.h_in(x_p).data
+        h_retr = model.h_retr(T.Tensor(r_p)).data.reshape(p_count, cfg.k, cfg.attn_dim)
+    c, d = float(model.blend_c.data[0]), float(model.blend_d.data[0])
+    score_err = weight_err = beta_err = 0.0
+    for p in range(p_count):
+        s = trace.scores[p]
+        score_err = max(score_err, np.abs(s - FU.attention_scores(h_in[p], h_retr[p])).max())
+        weight_err = max(weight_err, np.abs(trace.weights[p]
+                                            - FU.attention_weights(s, cfg.C_sharpness)).max())
+        beta_err = max(beta_err, abs(trace.beta[p] - 1.0 / (1.0 + math.exp(-(c * s.max() + d)))))
+    ok = max(score_err, weight_err, beta_err) <= 1e-12
+    verdict(3, ok, f"model trace over {p_count} patches: score err {score_err:.1e}, "
+                   f"weight err {weight_err:.1e}, beta err {beta_err:.1e} <= 1e-12")
+
+
 # ---------------------------------------------------------------------------
 # criterion 4: temperature bound
 # ---------------------------------------------------------------------------

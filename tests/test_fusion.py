@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ from retrivox import embed as E
 from retrivox import fusion as F
 from retrivox import retrievaldb as R
 from retrivox import tensor as T
-from retrivox.grids import (ChunkLayout, HyperParams, ScalarGrid3, from_blocks,
-                            reassemble_windows, windows)
+from retrivox.grids import PAD_TDF_VALUE, ChunkLayout, HyperParams, ScalarGrid3, from_blocks
 from retrivox.retrievaldb import ApproxReconstruction
 
 MINI = ChunkLayout(32, 8, 4)
@@ -139,6 +139,19 @@ class TestRefineForward:
         with pytest.raises(ValueError):
             model.refine_batch(inputs, approx[:, :1])
 
+    @pytest.mark.parametrize("mode", ["attention", "naive"])
+    def test_bad_approx_shape_raises_up_front(self, mode):
+        cfg = tiny_config(mode=mode, k=2)
+        model = F.FusionModel(cfg, seed=0)
+        inputs, _, approx = self.make_batch(cfg)
+
+        def no_work(x):
+            raise AssertionError("f_in ran before the shape check")
+        model.f_in = no_work
+        for bad in (approx[:1], approx[:, :, :4, :4, :4]):
+            with pytest.raises(ValueError, match=r"\(N, k, S, S, S\) = \(2, 2, 8, 8, 8\)"):
+                model.refine_batch(inputs, bad)
+
     def test_no_retrieval_ignores_approx(self):
         cfg = tiny_config(mode="no_retrieval")
         model = F.FusionModel(cfg, seed=4)
@@ -169,7 +182,7 @@ class TestDedupExactness:
         rng = np.random.default_rng(seed)
         c, n = cfg.layout.chunk_dim, cfg.layout.n
         pool = rng.random((distinct, c, c, c)).astype(np.float32)
-        picks = rng.integers(0, distinct, size=(nb, cfg.k, n ** 3))
+        picks = rng.integers(0, distinct, size=(nb, cfg.k, n, n, n))
         return from_blocks(pool[picks])
 
     def reference_cells(self, model, approx):
@@ -242,6 +255,21 @@ class TestReconstructScene:
         db.add_entries(chunks, enc.encode_targets(chunks), ["t"] * 12)
         return db, enc
 
+    def per_window_refine(self, model, db, enc, values):
+        """Reference: pad to whole windows of side 4 (half of TINY's 8), refine
+        each window alone at x2, place it by slicing, crop."""
+        dims = values.shape
+        padded = np.full([-(-d // 4) * 4 for d in dims], PAD_TDF_VALUE, np.float32)
+        padded[:dims[0], :dims[1], :dims[2]] = values
+        out = np.empty([2 * d for d in padded.shape], np.float32)
+        for i, j, l in itertools.product(*(range(d // 4) for d in padded.shape)):
+            win = ScalarGrid3(padded[4 * i:4 * i + 4, 4 * j:4 * j + 4, 4 * l:4 * l + 4], 0.5)
+            approx = R.assemble_approximations(db, enc, win, TINY, model.config.k)
+            up = win.values.repeat(2, 0).repeat(2, 1).repeat(2, 2)
+            refined, _ = model.refine(ScalarGrid3(up, 0.25), approx)
+            out[8 * i:8 * i + 8, 8 * j:8 * j + 8, 8 * l:8 * l + 8] = refined.values
+        return out[:2 * dims[0], :2 * dims[1], :2 * dims[2]]
+
     def test_batched_scene_equals_per_window_refine(self):
         cfg = tiny_config(k=2)
         model = F.FusionModel(cfg, seed=14)
@@ -250,19 +278,15 @@ class TestReconstructScene:
         # 2x1x1 windows of side 4 at half resolution
         scene = ScalarGrid3(rng.random((8, 4, 4)).astype(np.float32), 0.5, (1.0, 2.0, 3.0))
         got, _ = F.reconstruct_scene(model, db, enc, scene, TINY, sr_factor=2)
-
-        in_layout = ChunkLayout(scene_dim=4, chunk_dim=4, patch_dim=1)
-        pairs = []
-        for off, win in windows(scene, in_layout, stride=4):
-            approx = R.assemble_approximations(db, enc, win, TINY, cfg.k)
-            up = win.values.repeat(2, 0).repeat(2, 1).repeat(2, 2)
-            refined, _ = model.refine(ScalarGrid3(up, 0.25, win.origin), approx)
-            pairs.append((tuple(2 * o for o in off), refined))
-        assert len(pairs) == 2
-        want = reassemble_windows(pairs, (16, 8, 8), voxel_size=0.25, origin=scene.origin)
         assert got.dims == (16, 8, 8) and got.voxel_size == 0.25
-        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.values, self.per_window_refine(model, db, enc,
+                                                                         scene.values))
         np.testing.assert_array_equal(got.origin, scene.origin)
+        # a box scene: 6x7x3 pads to 2x2x1 windows of side 4, the output crops to 12x14x6
+        box = rng.random((6, 7, 3)).astype(np.float32)
+        got, _ = F.reconstruct_scene(model, db, enc, ScalarGrid3(box, 0.5), TINY, sr_factor=2)
+        assert got.dims == (12, 14, 6)
+        np.testing.assert_array_equal(got.values, self.per_window_refine(model, db, enc, box))
 
     def test_bad_input_raises_up_front(self):
         model = F.FusionModel(tiny_config(mode="no_retrieval"), seed=0)

@@ -1,12 +1,13 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from retrivox import embed as E
 from retrivox import retrievaldb as R
-from retrivox.grids import (OCCUPANCY_TDF_THRESHOLD, ChunkLayout, HyperParams, ScalarGrid3,
-                            fold, from_blocks, to_blocks, unfold)
+from retrivox.grids import (OCCUPANCY_TDF_THRESHOLD, PAD_TDF_VALUE, ChunkLayout, HyperParams,
+                            ScalarGrid3, coarsen, from_blocks, to_blocks, upsample, windows)
 from tests.test_embed import make_toy_prototypes
 
 HP = HyperParams(batch_retrieval=8)
@@ -126,6 +127,12 @@ def window_chunks(values, layout):
             for i, j, k in itertools.product(range(layout.n), repeat=3)]
 
 
+def window_of(chunks, layout=MINI):
+    """One window grid of its n^3 chunks (n^3, c, c, c) in (i, j, k) order."""
+    n, c = layout.n, layout.chunk_dim
+    return ScalarGrid3(from_blocks(np.asarray(chunks).reshape(n, n, n, c, c, c)), 1.0)
+
+
 def loop_build(encoders, scenes, layout, scene_tags=None, min_occupancy=0.01):
     """Reference build: the per-chunk loop that one stacked unfold and one
     keep mask replaced."""
@@ -224,9 +231,7 @@ class TestBuildAndAssemble:
         return pair, x, y
 
     def scene_from_protos(self, y, order):
-        layout = MINI
-        chunks = [ScalarGrid3(y[i], 1.0) for i in order]
-        return fold(chunks, layout)
+        return window_of(y[order])
 
     def test_one_window_unfiltered_is_64_entries(self):
         pair, x, y = self.trained_setup()
@@ -337,7 +342,7 @@ class TestBuildAndAssemble:
         in_chunks = np.stack([c.ravel() for c in R.unfold_values(v, in_layout)])
         hits = [R.knn_bruteforce(db, e, 3) for e in pair.encode_inputs(in_chunks)]
         for r, approx in enumerate(got):
-            want = fold([db.chunk_grid(db.row_of_id(h[r][0]), 1.0) for h in hits], MINI)
+            want = window_of([db.chunk_grid(db.row_of_id(h[r][0]), 1.0).values for h in hits])
             np.testing.assert_array_equal(approx.scene.values, want.values)
 
     def test_non_finite_window_raises(self):
@@ -355,33 +360,72 @@ class TestBlocking:
         rng = np.random.default_rng(0)
         x = rng.random((32, 32, 32)).astype(np.float32)
         blocks = to_blocks(x, 8)
-        assert blocks.shape == (64, 8, 8, 8)
+        assert blocks.shape == (4, 4, 4, 8, 8, 8)
         np.testing.assert_array_equal(from_blocks(blocks), x)
         batch = rng.random((3, 2, 16, 16, 16))
         blocks = to_blocks(batch, 4)
-        assert blocks.shape == (3, 2, 64, 4, 4, 4)
+        assert blocks.shape == (3, 2, 4, 4, 4, 4, 4, 4)
         np.testing.assert_array_equal(from_blocks(blocks), batch)
+        box = rng.random((2, 8, 8, 6))
+        blocks = to_blocks(box, 2)
+        assert blocks.shape == (2, 4, 4, 3, 2, 2, 2)
+        np.testing.assert_array_equal(blocks[1, 3, 0, 2], box[1, 6:8, 0:2, 4:6])
+        np.testing.assert_array_equal(from_blocks(blocks), box)
 
     def test_order_matches_unfold(self):
         rng = np.random.default_rng(1)
         batch = rng.random((2, 32, 32, 32)).astype(np.float32)
-        blocks = to_blocks(batch, MINI.chunk_dim)
+        blocks = to_blocks(batch, MINI.chunk_dim).reshape(2, 64, 8, 8, 8)
         for w in range(2):
-            chunks = unfold(ScalarGrid3(batch[w], 1.0), MINI)
+            chunks = window_chunks(batch[w], MINI)
             for got, want, raw in zip(blocks[w], chunks, R.unfold_values(batch[w], MINI)):
-                np.testing.assert_array_equal(got, want.values)
+                np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(got, raw)
         # block (i, j, k) = (0, 1, 2) of a 4^3 split sits at flat index 6
         np.testing.assert_array_equal(blocks[1, 6], batch[1, 0:8, 8:16, 16:24])
 
     def test_bad_shapes_raise(self):
-        for values, block in ((np.zeros((8, 8, 6)), 2), (np.zeros((8, 8, 8)), 3),
+        for values, block in ((np.zeros((8, 8, 6)), 4), (np.zeros((8, 8, 8)), 3),
                               (np.zeros((8, 8)), 2), (np.zeros((8, 8, 8)), 0)):
             with pytest.raises(ValueError):
                 to_blocks(values, block)
-        for blocks in (np.zeros((7, 2, 2, 2)), np.zeros((8, 2, 2, 3)), np.zeros((2, 2, 2))):
+        for blocks in (np.zeros((7, 2, 2, 2)), np.zeros((8, 2, 2, 3)), np.zeros((2, 2, 2)),
+                       np.zeros((2, 2, 2, 2, 2, 3))):
             with pytest.raises(ValueError):
                 from_blocks(blocks)
+
+    def test_windows_pad_a_box_scene(self):
+        scene = np.random.default_rng(3).random((9, 4, 5)).astype(np.float32)
+        grid = windows(scene, 4)
+        assert grid.shape == (3, 1, 2, 4, 4, 4) and grid.dtype == np.float32
+        corner = np.full((4, 4, 4), PAD_TDF_VALUE, np.float32)
+        corner[:1, :, :1] = scene[8:, :, 4:]
+        np.testing.assert_array_equal(grid[2, 0, 1], corner)
+        np.testing.assert_array_equal(from_blocks(grid)[:9, :4, :5], scene)
+        with pytest.raises(ValueError):
+            windows(scene, 0)
+
+    def test_coarsen_and_upsample(self):
+        rng = np.random.default_rng(4)
+        v = rng.random((4, 6, 2)).astype(np.float32)
+        grid = ScalarGrid3(v, 0.5, (1.0, 2.0, 3.0))
+        low = coarsen(grid, 2)
+        np.testing.assert_array_equal(low.values, v.reshape(2, 2, 3, 2, 1, 2).min(axis=(1, 3, 5)))
+        assert low.voxel_size == 1.0 and low.origin.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            coarsen(grid, 4)
+        batch = rng.random((2, 3, 2, 4)).astype(np.float32)
+        up = upsample(batch, 2)
+        np.testing.assert_array_equal(up, batch.repeat(2, 1).repeat(2, 2).repeat(2, 3))
+        np.testing.assert_array_equal(coarsen(ScalarGrid3(up[0], 1.0), 2).values, batch[0])
+        np.testing.assert_array_equal(upsample(v, 1), v)
+
+    def test_retrieve_windows_needs_cubes(self):
+        pair = E.ChunkEncoderPair.create(4, 8, HP, seed=0)
+        db = R.ChunkDatabase(chunk_dim=8, embed_dim=pair.embed_dim)
+        for shape in ((2, 16, 16, 8), (16, 16, 16), (2, 16, 16, 15)):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                R.retrieve_windows(db, pair, np.zeros(shape, np.float32), MINI, 1)
 
     def test_batched_retrieval_equals_assembly_per_window(self):
         rng = np.random.default_rng(12)
@@ -407,7 +451,7 @@ class TestExtend:
         rng = np.random.default_rng(0)
         x, y = make_toy_prototypes(rng)
         pair, _ = E.train_retrieval(x, y, HP, seed=1, iters=30, lr=1e-3)
-        scene = fold([ScalarGrid3(y[i % 8], 1.0) for i in range(64)], MINI)
+        scene = window_of(y[np.arange(64) % 8])
         db = R.build(pair, [scene], MINI)
         q = db.embeddings[2]
         before = R.knn(db, q, k=4)
@@ -419,7 +463,7 @@ class TestExtend:
         rng = np.random.default_rng(0)
         x, y = make_toy_prototypes(rng)
         pair, _ = E.train_retrieval(x, y, HP, seed=1, iters=30, lr=1e-3)
-        scene = fold([ScalarGrid3(y[i % 8], 1.0) for i in range(64)], MINI)
+        scene = window_of(y[np.arange(64) % 8])
         db = R.build(pair, [scene], MINI)
         ids_before = db.ids.copy()
         n_before = len(db)
